@@ -154,6 +154,8 @@ def _resolve_params(args):
 
 
 def _validate_params(p):
+    if p["block"] < 1:
+        raise MixAmpError(f"block must be >= 1, got {p['block']}")
     if p["side"] < 2:
         raise MixAmpError(f"side must be >= 2, got {p['side']}")
     if not 0.0 < p["sampling"] <= 1.0:
@@ -274,13 +276,28 @@ def run_separation(p, out_dir):
     return code, rows
 
 
+def _manifest_params(path):
+    """The run parameters stored in a manifest, checked for completeness."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as err:
+        raise MixAmpError(f"manifest {path} is not valid JSON: {err}") from err
+    if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
+        raise MixAmpError(f"unrecognized manifest schema in {path}")
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise MixAmpError(f"manifest {path} holds no params object")
+    required = _resolve_params(build_parser().parse_args(["separate"]))  # every run param
+    missing = sorted(required.keys() - params.keys())
+    if missing:
+        raise MixAmpError(f"manifest {path} lacks params: {', '.join(missing)}")
+    return params
+
+
 def cmd_separate(args):
     if args.manifest:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-        if manifest.get("schema") != MANIFEST_SCHEMA:
-            raise MixAmpError(f"unrecognized manifest schema in {args.manifest}")
-        params = manifest["params"]
+        params = _manifest_params(args.manifest)
     else:
         params = _resolve_params(args)
     code, rows = run_separation(params, args.out)

@@ -8,6 +8,7 @@ average diagonal of its Jacobian, the scalar that feeds the residual
 correction term of the message-passing solver.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,20 +145,6 @@ def _dv(u):
     return u[1:, :] - u[:-1, :]
 
 
-def _dh_t(v):
-    out = np.zeros((v.shape[0], v.shape[1] + 1))
-    out[:, :-1] -= v
-    out[:, 1:] += v
-    return out
-
-
-def _dv_t(v):
-    out = np.zeros((v.shape[0] + 1, v.shape[1]))
-    out[:-1, :] -= v
-    out[1:, :] += v
-    return out
-
-
 def tv_norm(x):
     """Anisotropic TV: sum of |horizontal| plus |vertical| first differences.
 
@@ -174,60 +161,132 @@ def tv_objective(u, x, lam):
     return tv_norm(u) + 0.5 * lam * float(((u - x) ** 2).sum())
 
 
+@functools.lru_cache(maxsize=8)
+def _tv_layout(side):
+    """Flat zero-padded layout of a side x side grid (see tv_denoise_bregman).
+
+    Returns (w, deg, edge): the odd row width; the neighbour count of each
+    grid entry, inf on the pads; and the stacked 0/1 maps of the horizontal
+    and vertical differences that exist, each stored at the flat position
+    of its left or upper end.
+    """
+    w = side + 1 if side % 2 == 0 else side + 2
+    deg = np.full((side + 2, w), np.inf)
+    grid = deg[1:side + 1, 1:side + 1]
+    grid[...] = 0.0
+    grid[:, :-1] += 1.0
+    grid[:, 1:] += 1.0
+    grid[:-1, :] += 1.0
+    grid[1:, :] += 1.0
+    edge = np.zeros((2, side + 2, w))
+    edge[0, 1:side + 1, 1:side] = 1.0
+    edge[1, 1:side, 1:side + 1] = 1.0
+    deg, edge = deg.ravel(), edge.reshape(2, -1)
+    deg.setflags(write=False)
+    edge.setflags(write=False)
+    return w, deg, edge
+
+
 def _tv_bregman_estimate(x, lam, spec):
-    """Split-Bregman minimization of tv_objective; returns (u, converged)."""
+    """Split-Bregman minimization of tv_objective; returns (u, converged).
+
+    Works on the flat layout of _tv_layout; see tv_denoise_bregman.
+    """
     side = x.shape[0]
     mu = spec.tv_mu if spec.tv_mu is not None else 2.0 * lam
-    deg = np.zeros((side, side))
-    deg[:, :-1] += 1.0
-    deg[:, 1:] += 1.0
-    deg[:-1, :] += 1.0
-    deg[1:, :] += 1.0
-    denom = lam + mu * deg
-    ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    colors = ((ii + jj) % 2 == 0, (ii + jj) % 2 == 1)
+    shrink = 1.0 / mu
+    w, deg, edge = _tv_layout(side)
+    lo, hi = w + 1, side * w + side + 1  # first and one past the last grid entry
 
-    u = x.copy()
-    dxh, dxv = _dh(x), _dv(x)
-    bh = np.zeros_like(dxh)
-    bv = np.zeros_like(dxv)
+    def view(flat, rows=side, cols=side):
+        # (rows, cols) grid view of a flat buffer; a (side, side - 1) view
+        # holds the horizontal differences, a (side - 1, side) the vertical
+        return flat.reshape(side + 2, w)[1:rows + 1, 1:cols + 1]
+
+    p = np.zeros(deg.size)
+    u = view(p)
+    u[...] = x
+    lam_x = lam * p[lo:hi]
+    denom = lam + mu * deg  # inf on the pads, which therefore stay zero
+    colors = [(s, denom[s:hi:2].copy()) for s in (lo, lo + 1)]
+
+    def gradient(out):
+        np.subtract(p[lo + 1:hi + 1], p[lo:hi], out=out[0, lo:hi])
+        np.subtract(p[lo + w:hi + w], p[lo:hi], out=out[1, lo:hi])
+        out *= edge
+
+    g = np.zeros((2, deg.size))
+    gradient(g)
+    d = g.copy()  # split variables d ~ Du, stacked (horizontal, vertical)
+    b = np.zeros_like(d)
+    t = np.empty_like(d)
+    # (side, side - 1) and (side - 1, side) views: the split residual is
+    # formed as a contiguous grid array, so its sum keeps the reduction order
+    gh, dh = view(g[0], cols=side - 1), view(d[0], cols=side - 1)
+    gv, dv = view(g[1], rows=side - 1), view(d[1], rows=side - 1)
+    rhs = np.empty(hi - lo)
+    u_prev = u.copy()
     progress = np.inf
     for _ in range(spec.tv_inner_iters):
-        u_prev = u.copy()
-        rhs = lam * x + mu * (_dh_t(dxh - bh) + _dv_t(dxv - bv))
+        # rhs = lam x + mu D^T (d - b)
+        np.subtract(d, b, out=t)
+        np.subtract(t[0, lo - 1:hi - 1], t[0, lo:hi], out=rhs)
+        rhs += t[1, lo - w:hi - w] - t[1, lo:hi]
+        rhs *= mu
+        rhs += lam_x
         for _ in range(spec.tv_sweeps):
-            # red-black Gauss-Seidel on (lam I + mu L) u = rhs
-            for color in colors:
-                nb = np.zeros_like(u)
-                nb[:, 1:] += u[:, :-1]
-                nb[:, :-1] += u[:, 1:]
-                nb[1:, :] += u[:-1, :]
-                nb[:-1, :] += u[1:, :]
-                u[color] = ((rhs + mu * nb) / denom)[color]
-        gh, gv = _dh(u), _dv(u)
-        shrink = 1.0 / mu
-        dxh = np.sign(gh + bh) * np.maximum(np.abs(gh + bh) - shrink, 0.0)
-        dxv = np.sign(gv + bv) * np.maximum(np.abs(gv + bv) - shrink, 0.0)
-        bh = bh + gh - dxh
-        bv = bv + gv - dxv
+            # red-black Gauss-Seidel on (lam I + mu L) u = rhs; the four
+            # neighbours of an entry have the other flat parity
+            for s, den in colors:
+                nb = p[s - 1:hi - 1:2] + p[s + 1:hi + 1:2]
+                nb += p[s - w:hi - w:2]
+                nb += p[s + w:hi + w:2]
+                nb *= mu
+                nb += rhs[s - lo::2]
+                np.divide(nb, den, out=p[s:hi:2])
+        gradient(g)
+        np.add(g, b, out=t)
+        # soft shrinkage: t - clip(t, -shrink, shrink) = sign(t) max(|t| - shrink, 0)
+        np.subtract(t, np.clip(t, -shrink, shrink), out=d)
+        np.subtract(t, d, out=b)
         # progress = iterate motion plus the primal residual of the split
         # constraint d = Du, both relative to the iterate scale
-        scale = max(float(np.linalg.norm(u)), 1e-30)
-        split = np.sqrt(((gh - dxh) ** 2).sum() + ((gv - dxv) ** 2).sum())
-        progress = (float(np.linalg.norm(u - u_prev)) + float(split)) / scale
+        u_now = u.copy()
+        scale = max(float(np.linalg.norm(u_now)), 1e-30)
+        split = np.sqrt(((gh - dh) ** 2).sum() + ((gv - dv) ** 2).sum())
+        progress = (float(np.linalg.norm(u_now - u_prev)) + float(split)) / scale
+        u_prev = u_now
         if progress <= 1e-12:
             break
-    return u, progress <= 1e-4
+    return u_prev, progress <= 1e-4
 
 
 def tv_denoise_bregman(x, lam, spec):
     """Approximate argmin of ||u||_TV + (lam/2)||u - x||_F^2.
 
-    Anisotropic shrinkage on split difference variables; the quadratic
-    subproblem is relaxed by red-black Gauss-Seidel sweeps. A run that is
-    still moving after tv_inner_iters returns its last iterate with
-    tv_converged=False rather than raising. The divergence is estimated by
-    a Rademacher probe (mc_divergence) seeded from spec.mc_seed.
+    Split Bregman (Goldstein & Osher 2009): anisotropic shrinkage on split
+    difference variables d ~ Du, with the quadratic subproblem
+    (lam I + mu L) u = rhs relaxed by spec.tv_sweeps red-black Gauss-Seidel
+    sweeps per inner iteration.
+
+    The iteration runs on one flat, zero-padded buffer. Grid row i is
+    stored at padded row i + 1 behind one zero pad column, and the row
+    width w is odd: side + 1 for even sides, side + 2 for odd ones. Each
+    neighbour of an entry is then a 1D shift by +-1 or +-w, and the
+    red/black colour of entry (i, j), the parity of i + j, is the parity of
+    its flat index, so one colour update is one stride-2 slice. The pads
+    carry an infinite diagonal and so stay zero; the differences that
+    leave the grid are multiplied by a 0/1 edge map, so their split
+    variables stay zero. Every elementwise step, and every norm, is formed
+    in the same order as on the plain 2D grid, so for finite input the
+    estimate and convergence flag equal those of the straightforward 2D
+    implementation bit for bit. (A NaN spreads faster: 0 * NaN on a
+    missing edge carries it through the pads.)
+
+    A run that is still moving after tv_inner_iters returns its last
+    iterate with tv_converged=False rather than raising. The divergence is
+    estimated by a Rademacher probe (mc_divergence) seeded from
+    spec.mc_seed.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")

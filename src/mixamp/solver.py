@@ -209,6 +209,8 @@ def normalize_problem(a, y, mask):
     threshold/correction calibration that the iteration assumes, which the
     raw N(0, 1/M) normalization does not provide for the two-sided product.
     """
+    if mask.m == 0:
+        raise DegenerateProblemError("mask holds no samples")
     q = float(np.mean((a.entries ** 2).sum(axis=0)))
     if q == 0.0:
         raise DegenerateProblemError("sensing matrix is identically zero")

@@ -63,6 +63,13 @@ class TestSeparate:
             "--out", str(tmp_path / "x"),
         ) == 2
 
+    def test_block_zero_exit_2(self, tmp_path, capsys):
+        assert run_cli(
+            "separate", "--case", "group", "--side", "8", "--block", "0",
+            "--out", str(tmp_path / "x"),
+        ) == 2
+        assert "block must be >= 1" in capsys.readouterr().err
+
     def test_divergent_run_exit_1_with_partial_outputs(self, tmp_path):
         out = tmp_path / "div"
         code = run_cli(
@@ -95,6 +102,22 @@ class TestSeparate:
         for key in ("case", "side", "sampling", "seed", "tau_a", "tau_b", "damping",
                     "lambda1", "lambda2", "rho", "record_timing"):
             assert key in params
+
+    def test_manifest_invalid_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"schema": "mixamp-run-v1", "params": {')
+        assert run_cli("separate", "--manifest", str(path), "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid JSON" in err
+
+    def test_manifest_missing_param_exit_2(self, tmp_path, capsys):
+        params = cli._resolve_params(cli.build_parser().parse_args(["separate"]))
+        del params["side"], params["seed"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"schema": cli.MANIFEST_SCHEMA, "params": params}))
+        assert run_cli("separate", "--manifest", str(path), "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "lacks params: seed, side" in err
 
 
 class TestSweep:

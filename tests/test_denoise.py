@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mixamp import denoise
+from mixamp import baseline, data, denoise
 from mixamp.exceptions import DimensionError, DomainError
 
 
@@ -242,6 +242,66 @@ class TestTvDenoiseBregman:
     def test_bad_lambda(self):
         with pytest.raises(DomainError):
             denoise.tv_denoise_bregman(np.zeros((4, 4)), 0.0, self.SPEC)
+
+
+def _tv_kernel_inputs(side):
+    rng = np.random.default_rng(side)
+    return {
+        "random": rng.standard_normal((side, side)),
+        "constant": np.full((side, side), 0.7),
+        "cartoon": data.gen_cartoon(side, seed=side) + 0.1 * rng.standard_normal((side, side)),
+    }
+
+
+class TestTvKernelMatchesReference:
+    """The flat padded kernel reproduces the plain-grid split Bregman exactly."""
+
+    @pytest.mark.parametrize("side", [2, 3, 5, 8, 17, 64])
+    def test_estimate_and_flag_identical(self, side):
+        for name, x in _tv_kernel_inputs(side).items():
+            for sweeps in (1, 2, 3):
+                for iters in (1, 2, 20):
+                    for mu in (None, 0.8):
+                        spec = denoise.DenoiserSpec(
+                            kind="tv_bregman", tv_inner_iters=iters, tv_sweeps=sweeps, tv_mu=mu
+                        )
+                        u, converged = denoise._tv_bregman_estimate(x, 1.3, spec)
+                        u_ref, converged_ref = oracles.tv_bregman_reference(x, 1.3, spec)
+                        case = (name, sweeps, iters, mu)
+                        assert np.array_equal(u, u_ref), case
+                        assert converged == converged_ref, case
+
+    @pytest.mark.parametrize("side", [2, 3, 8, 17])
+    def test_constant_input_exits_early(self, side):
+        x = _tv_kernel_inputs(side)["constant"]
+        one, long = (denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=k) for k in (1, 20))
+        u_one, flag_one = denoise._tv_bregman_estimate(x, 1.3, one)
+        u_long, flag_long = denoise._tv_bregman_estimate(x, 1.3, long)
+        assert flag_one and flag_long
+        assert np.array_equal(u_one, u_long)
+
+    def test_divergence_matches_reference_probe(self):
+        spec = denoise.DenoiserSpec(kind="tv_bregman", mc_probes=2, mc_seed=7)
+        for side in (5, 16):
+            x = _tv_kernel_inputs(side)["cartoon"]
+            out = denoise.tv_denoise_bregman(x, 2.0, spec)
+            u_ref, converged_ref = oracles.tv_bregman_reference(x, 2.0, spec)
+            div_ref = denoise.mc_divergence(
+                lambda v: oracles.tv_bregman_reference(v, 2.0, spec)[0], x,
+                probe_seed=spec.mc_seed, eps=spec.mc_eps, n_probes=spec.mc_probes,
+            )
+            assert np.array_equal(out.estimate, u_ref)
+            assert out.tv_converged == converged_ref
+            assert out.divergence_avg == min(max(div_ref, 0.0), 1.0)
+
+    def test_baseline_prox_matches_reference(self):
+        cfg = baseline.BaselineConfig(lambda1=1.0, lambda2=1.0, tv_inner_iters=7, tv_sweeps=3)
+        spec = denoise.DenoiserSpec(
+            kind="tv_bregman", tv_inner_iters=7, tv_sweeps=3, tv_mu=cfg.tv_mu
+        )
+        v = _tv_kernel_inputs(12)["cartoon"]
+        u_ref, _ = oracles.tv_bregman_reference(v, 1.0 / 0.4, spec)
+        assert np.array_equal(baseline._prox_b(v, 0.4, cfg, "tv"), u_ref)
 
 
 class TestMcDivergence:

@@ -295,6 +295,19 @@ class TestNormalizeProblem:
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(y2, c * c * y, atol=0)
 
+    def test_empty_mask_is_degenerate(self):
+        from mixamp.exceptions import DegenerateProblemError
+        a = linops.gen_gaussian_sensing(4, 4, seed=0)
+        empty = linops.SamplingMask(
+            side=4, indices=np.zeros((0, 2), dtype=np.int64),
+            grid=np.zeros((4, 4), dtype=bool),
+        )
+        with pytest.raises(DegenerateProblemError):
+            solver.normalize_problem(a, np.zeros((4, 4)), empty)
+        cfg = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT)
+        with pytest.raises(DegenerateProblemError):
+            solver.mixamp_run(a, np.zeros((4, 4)), empty, cfg)
+
     def test_identity_full_mask_mild_scale(self):
         a = linops.identity_sensing(8)
         mask = linops.full_mask(8)
