@@ -43,9 +43,11 @@ from .exceptions import (
     UnsupportedSizeError,
 )
 from .linops import (
+    MeasurementOperator,
     SamplingMask,
     SensingMatrix,
     adjoint,
+    dct_fast_adjoint,
     dct_fast_forward,
     dct_sensing,
     forward,

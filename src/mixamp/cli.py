@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 numerical/solver failure, 2 usage error.
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
@@ -30,6 +31,8 @@ CASE_DEFAULTS = {
 }
 DEFAULT_DAMPING = 0.3
 MANIFEST_SCHEMA = "mixamp-run-v1"
+CASES = tuple(CASE_DEFAULTS)
+SOLVERS = ("mixamp", "baseline", "both")
 
 
 def _sampling(text):
@@ -64,7 +67,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sep = sub.add_parser("separate", help="run one separation experiment")
-    sep.add_argument("--case", choices=("group", "tv"), default="group")
+    sep.add_argument("--case", choices=CASES, default="group")
     sep.add_argument("--side", type=int, default=64)
     sep.add_argument("--sampling", type=_sampling, default=0.7, help="M/N in (0, 1]")
     sep.add_argument("--sparsity", type=float, default=0.05, help="shot-noise density")
@@ -74,7 +77,7 @@ def build_parser():
     sep.add_argument("--image", type=str, default=None,
                      help="square PGM for the tv case (default: procedural scene)")
     sep.add_argument("--seed", type=int, default=0)
-    sep.add_argument("--solver", choices=("mixamp", "baseline", "both"), default="mixamp")
+    sep.add_argument("--solver", choices=SOLVERS, default="mixamp")
     sep.add_argument("--max-iters", type=int, default=500)
     sep.add_argument("--tol", type=float, default=5e-4)
     sep.add_argument("--tau", type=float, default=None, help="threshold scale for both denoisers")
@@ -93,7 +96,7 @@ def build_parser():
     sep.add_argument("--out", type=str, default="mixamp_out")
 
     swp = sub.add_parser("sweep", help="sweep sampling rates and seeds")
-    swp.add_argument("--case", choices=("group", "tv"), default="tv")
+    swp.add_argument("--case", choices=CASES, default="tv")
     swp.add_argument("--side", type=int, default=64)
     swp.add_argument("--sampling", type=_sampling_list, default=[0.3, 0.5, 0.7],
                      help="comma-separated M/N list")
@@ -102,7 +105,7 @@ def build_parser():
     swp.add_argument("--block", type=int, default=4)
     swp.add_argument("--active-fraction", type=float, default=0.25)
     swp.add_argument("--image", type=str, default=None)
-    swp.add_argument("--solver", choices=("mixamp", "baseline", "both"), default="mixamp")
+    swp.add_argument("--solver", choices=SOLVERS, default="mixamp")
     swp.add_argument("--max-iters", type=int, default=500)
     swp.add_argument("--tol", type=float, default=5e-4)
     swp.add_argument("--tau", type=float, default=None)
@@ -153,7 +156,36 @@ def _resolve_params(args):
     }
 
 
+_INT_PARAMS = ("side", "block", "seed", "max_iters")
+_REAL_PARAMS = ("sampling", "sparsity", "active_fraction", "tol", "tau_a", "tau_b",
+                "damping", "lambda1", "lambda2", "rho")
+_BOOL_PARAMS = ("disjoint", "record_timing")
+_CHOICE_PARAMS = {"case": CASES, "solver": SOLVERS}
+
+
+def _check_param_types(p):
+    """Reject a param of the wrong type, such as a manifest's "side": "64"."""
+    def bad(key, expected):
+        return MixAmpError(f"param {key} must be {expected}, got {p[key]!r}")
+
+    for key in _INT_PARAMS:
+        if isinstance(p[key], bool) or not isinstance(p[key], numbers.Integral):
+            raise bad(key, "an integer")
+    for key in _REAL_PARAMS:
+        if isinstance(p[key], bool) or not isinstance(p[key], numbers.Real):
+            raise bad(key, "a real number")
+    for key in _BOOL_PARAMS:
+        if not isinstance(p[key], bool):
+            raise bad(key, "true or false")
+    for key, choices in _CHOICE_PARAMS.items():
+        if p[key] not in choices:
+            raise bad(key, f"one of {', '.join(choices)}")
+    if p["image"] is not None and not isinstance(p["image"], str):
+        raise bad("image", "a file path or null")
+
+
 def _validate_params(p):
+    _check_param_types(p)
     if p["block"] < 1:
         raise MixAmpError(f"block must be >= 1, got {p['block']}")
     if p["side"] < 2:
@@ -309,10 +341,23 @@ def cmd_separate(args):
     return code
 
 
+def _exit_code(err):
+    """Exit code of a run ended by err: 1 for divergence, 2 for any other error."""
+    return 1 if isinstance(err, SolverDivergenceError) else 2
+
+
 def _sweep_worker(task):
+    """One sweep point: (exit code, metric rows, error message or None).
+
+    A failed point returns its message instead of raising, so the points
+    that finished keep their rows.
+    """
     params, out_dir = task
-    code, rows = run_separation(params, out_dir)
-    return code, rows
+    try:
+        code, rows = run_separation(params, out_dir)
+    except MixAmpError as err:
+        return _exit_code(err), [], str(err)
+    return code, rows, None
 
 
 def cmd_sweep(args):
@@ -327,18 +372,19 @@ def cmd_sweep(args):
             params["seed"] = seed
             tasks.append((params, str(out / f"s{sampling:g}_seed{seed}")))
     workers = max(1, int(os.environ.get("MIXAMP_THREADS", "1")))
-    code = 0
-    all_rows = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for task_code, rows in pool.map(_sweep_worker, tasks):
-                code = max(code, task_code)
-                all_rows.extend(rows)
+            results = list(pool.map(_sweep_worker, tasks))
     else:
-        for task in tasks:
-            task_code, rows = _sweep_worker(task)
-            code = max(code, task_code)
-            all_rows.extend(rows)
+        results = [_sweep_worker(task) for task in tasks]
+    code = 0
+    all_rows = []
+    for (params, _), (task_code, rows, message) in zip(tasks, results):
+        code = max(code, task_code)
+        all_rows.extend(rows)
+        if message is not None:
+            print(f"mixamp: sweep point sampling={params['sampling']:g} seed={params['seed']} "
+                  f"failed: {message}", file=sys.stderr)
     all_rows.sort(key=lambda r: (float(r["m_over_n"]), int(r["seed"]), r["solver"]))
     data.write_metrics_csv(out / "sweep_metrics.csv", all_rows)
     print(f"sweep: {len(all_rows)} rows -> {out / 'sweep_metrics.csv'}")
@@ -435,10 +481,12 @@ def _check_dct_equivalence(fault):
     a = linops.dct_sensing(side)
     mask = linops.gen_mask(side, 700, seed=10)
     x = rng.standard_normal((side, side))
+    r = linops.mask_apply(mask, rng.standard_normal((side, side)))
     y_fast = linops.dct_fast_forward(x, mask)
     y_explicit = linops.forward(a, x, mask)
-    err = np.abs(_fault(y_fast, fault) - y_explicit).max()
-    return err <= 1e-10, f"max err {err:.2e}"
+    err_fwd = np.abs(_fault(y_fast, fault) - y_explicit).max()
+    err_adj = np.abs(linops.dct_fast_adjoint(r) - linops.adjoint(a, r)).max()
+    return max(err_fwd, err_adj) <= 1e-10, f"max err forward {err_fwd:.2e}, adjoint {err_adj:.2e}"
 
 
 def _check_residual_support(fault):
@@ -453,12 +501,13 @@ def _check_residual_support(fault):
         denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2),
         max_iters=10, damping=0.3, record_trace=False,
     )
-    a_run, y_run, _ = solver.normalize_problem(a, y, mask)
+    _, y_run, c = solver.normalize_problem(a, y, mask)
+    op = linops.MeasurementOperator(a, mask, c)
     state = solver.mixamp_init(y_run, mask)
     worst_off = 0.0
     worst_theta = 0.0
     for _ in range(10):
-        state = solver.mixamp_step(state, a_run, y_run, mask, cfg)
+        state = solver.mixamp_step(state, op, y_run, cfg)
         worst_off = max(worst_off, float(np.abs(state.r[~mask.grid]).max()) if (~mask.grid).any() else 0.0)
         worst_theta = max(worst_theta, abs(state.theta - (state.r ** 2).sum() / mask.m))
     worst = _fault(max(worst_off, worst_theta), fault)
@@ -508,7 +557,7 @@ def main(argv=None):
         return cmd_selfcheck(args)
     except MixAmpError as err:
         print(f"mixamp: {err}", file=sys.stderr)
-        return 2 if not isinstance(err, SolverDivergenceError) else 1
+        return _exit_code(err)
     except OSError as err:
         print(f"mixamp: {err}", file=sys.stderr)
         return 2

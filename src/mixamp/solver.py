@@ -151,18 +151,22 @@ def apply_denoiser(spec, x, theta, probe_seed=None):
     return denoise.tv_denoise_bregman(x, 1.0 / thr, spec)
 
 
-def mixamp_step(state, a, y, mask, cfg):
-    """One Algorithm-1 iteration; returns a new state, inputs untouched."""
-    side = a.side
-    if state.r.shape != (side, side) or y.shape != (side, side) or mask.side != side:
-        raise DegenerateProblemError("state, matrix, measurements and mask sides must agree")
+def mixamp_step(state, op, y, cfg):
+    """One Algorithm-1 iteration; returns a new state, inputs untouched.
+
+    ``op`` is the linops.MeasurementOperator of the run; ``y`` holds the
+    measurements at its scale.
+    """
+    side = op.side
+    if state.r.shape != (side, side) or y.shape != (side, side):
+        raise DegenerateProblemError("state, measurements and operator sides must agree")
     n = side * side
-    m = mask.m
+    m = op.mask.m
     probe_seed = cfg.mc_seed + 2 * state.t
 
     # overflow here is how divergence manifests; it is detected below
     with np.errstate(over="ignore", invalid="ignore"):
-        z = linops.adjoint(a, state.r)
+        z = op.adjoint(state.r)
         out_a = apply_denoiser(cfg.denoiser_a, z + state.xa, state.theta, probe_seed)
         out_b = apply_denoiser(cfg.denoiser_b, z + state.xb, state.theta, probe_seed + 1)
 
@@ -170,7 +174,7 @@ def mixamp_step(state, a, y, mask, cfg):
         xa_new = out_a.estimate if beta == 1.0 else (1.0 - beta) * state.xa + beta * out_a.estimate
         xb_new = out_b.estimate if beta == 1.0 else (1.0 - beta) * state.xb + beta * out_b.estimate
 
-        r_new = y - linops.forward(a, xa_new + xb_new, mask)
+        r_new = y - op.forward(xa_new + xb_new)
         if cfg.onsager:
             r_new = r_new + (n / m) * (out_a.divergence_avg + out_b.divergence_avg) * state.r
         if beta != 1.0:
@@ -208,6 +212,8 @@ def normalize_problem(a, y, mask):
     unchanged, so this is an exact reparameterization. It restores the
     threshold/correction calibration that the iteration assumes, which the
     raw N(0, 1/M) normalization does not provide for the two-sided product.
+    The scaled matrix keeps its kind, so a solver passes the unscaled
+    matrix and c to linops.MeasurementOperator instead.
     """
     if mask.m == 0:
         raise DegenerateProblemError("mask holds no samples")
@@ -227,17 +233,17 @@ def mixamp_run(a, y, mask, cfg):
     SolverDivergenceError with the partial trace attached.
     """
     y = linops.mask_apply(mask, y)
+    scale = 1.0
     if cfg.normalize:
-        a_run, y_run, _ = normalize_problem(a, y, mask)
-    else:
-        a_run, y_run = a, y
+        _, y, scale = normalize_problem(a, y, mask)
+    op = linops.MeasurementOperator(a, mask, scale)
 
-    state = mixamp_init(y_run, mask)
+    state = mixamp_init(y, mask)
     trace = IterationTrace(damping=cfg.damping)
     while state.t < cfg.max_iters:
         tic = time.perf_counter()
         try:
-            new_state = mixamp_step(state, a_run, y_run, mask, cfg)
+            new_state = mixamp_step(state, op, y, cfg)
         except SolverDivergenceError as err:
             err.trace = trace
             raise

@@ -158,7 +158,7 @@ def test_criterion_5_structural_checks():
     support_violation = 0.0
     theta_violation = 0.0
     for _ in range(25):
-        state = solver.mixamp_step(state, a_run, y_run, mask, cfg)
+        state = solver.mixamp_step(state, linops.MeasurementOperator(a_run, mask), y_run, cfg)
         support_violation = max(support_violation, float(np.abs(state.r[off]).max()))
         theta_violation = max(
             theta_violation,
@@ -167,8 +167,9 @@ def test_criterion_5_structural_checks():
     # Onsager ablation at t = 1 (undamped step so the difference is exact)
     base_cfg = dict(denoiser_a=cfg.denoiser_a, denoiser_b=cfg.denoiser_b, max_iters=5)
     state0 = solver.mixamp_init(y, mask)
-    full = solver.mixamp_step(state0, a, y, mask, solver.MixAmpConfig(**base_cfg))
-    bare = solver.mixamp_step(state0, a, y, mask,
+    op = linops.MeasurementOperator(a, mask)
+    full = solver.mixamp_step(state0, op, y, solver.MixAmpConfig(**base_cfg))
+    bare = solver.mixamp_step(state0, op, y,
                               solver.MixAmpConfig(**base_cfg, onsager=False))
     z = linops.adjoint(a, state0.r)
     thr = denoise.threshold_from_theta(state0.theta, 2.5)

@@ -29,7 +29,8 @@ class TestObjectiveEval:
     def test_zero_point(self):
         a, mask, _, _, y = group_problem()
         cfg = baseline.BaselineConfig(**CFG_GROUP)
-        val = baseline.objective_eval(np.zeros((8, 8)), np.zeros((8, 8)), a, y, mask, cfg, "group")
+        val, _ = baseline.objective_eval(np.zeros((8, 8)), np.zeros((8, 8)),
+                                         linops.MeasurementOperator(a, mask), y, cfg, "group")
         assert val == pytest.approx(0.5 * cfg.rho * (y ** 2).sum())
 
     def test_ground_truth_zero_data_term(self):
@@ -40,7 +41,7 @@ class TestObjectiveEval:
         xa, xb = group_problem(side=side)[2:4]
         y = linops.forward(a, xa + xb, mask)
         cfg = baseline.BaselineConfig(**CFG_GROUP)
-        val = baseline.objective_eval(xa, xb, a, y, mask, cfg, "group")
+        val, _ = baseline.objective_eval(xa, xb, linops.MeasurementOperator(a, mask), y, cfg, "group")
         penalties = (cfg.lambda1 * np.abs(xa).sum()
                      + cfg.lambda2 * baseline._regularizer(xb, cfg, "group"))
         assert val == pytest.approx(penalties, rel=1e-12)
@@ -49,11 +50,12 @@ class TestObjectiveEval:
         rng = np.random.default_rng(0)
         a, mask, _, _, y = group_problem()
         cfg = baseline.BaselineConfig(**CFG_GROUP)
+        op = linops.MeasurementOperator(a, mask)
         for variant in ("group", "tv"):
             for _ in range(5):
                 xa = rng.standard_normal((8, 8))
                 xb = rng.standard_normal((8, 8))
-                ours = baseline.objective_eval(xa, xb, a, y, mask, cfg, variant)
+                ours, _ = baseline.objective_eval(xa, xb, op, y, cfg, variant)
                 ref = oracles.straight_line_objective(
                     xa, xb, a.entries, y, mask.grid.astype(float), cfg.rho,
                     cfg.lambda1, cfg.lambda2, variant, block_side=cfg.block_side,
@@ -64,7 +66,8 @@ class TestObjectiveEval:
         a, mask, _, _, y = group_problem()
         cfg = baseline.BaselineConfig(**CFG_GROUP)
         with pytest.raises(DomainError):
-            baseline.objective_eval(np.zeros((8, 8)), np.zeros((8, 8)), a, y, mask, cfg, "wavelet")
+            baseline.objective_eval(np.zeros((8, 8)), np.zeros((8, 8)),
+                                    linops.MeasurementOperator(a, mask), y, cfg, "wavelet")
 
 
 class TestLipschitz:
@@ -72,7 +75,7 @@ class TestLipschitz:
         # descent lemma with the estimated step on 100 random pairs
         a, mask, _, _, y = group_problem(seed=3)
         cfg = baseline.BaselineConfig(**CFG_GROUP)
-        lip = baseline.estimate_lipschitz(a, mask, cfg)
+        lip = baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask), cfg)
         rng = np.random.default_rng(4)
 
         def f_smooth(za, zb):
@@ -106,11 +109,12 @@ class TestBaselineSolve:
         cfg = baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, block_side=2,
                                       max_iters=2000, tol=1e-10)
         xa, xb, _ = baseline.baseline_solve(a, y, mask, cfg, "group")
-        best = baseline.objective_eval(xa, xb, a, y, mask, cfg, "group")
+        op = linops.MeasurementOperator(a, mask)
+        best, _ = baseline.objective_eval(xa, xb, op, y, cfg, "group")
         for _ in range(500):
             pa = xa + 0.3 * rng.standard_normal((side, side))
             pb = xb + 0.3 * rng.standard_normal((side, side))
-            assert best <= baseline.objective_eval(pa, pb, a, y, mask, cfg, "group") + 1e-9
+            assert best <= baseline.objective_eval(pa, pb, op, y, cfg, "group")[0] + 1e-9
 
     def test_monotone_objective(self):
         a, mask, _, _, y = group_problem(seed=7)
@@ -150,3 +154,24 @@ class TestBaselineSolve:
         cfg = baseline.BaselineConfig(max_iters=500, tol=1e-3, **CFG_GROUP)
         _, _, trace = baseline.baseline_solve(a, y, mask, cfg, "group")
         assert trace.last.tol_value <= 1e-3 or len(trace) == 500
+
+    @pytest.mark.parametrize("variant", ["group", "tv"])
+    def test_record_residual_norm_matches_state(self, variant):
+        # each record's residual_norm, taken from the objective evaluation of
+        # the accepted state, equals the norm recomputed from that state; the
+        # state after k iterations is what a run with max_iters=k returns
+        a, mask, _, _, y = group_problem(seed=12)
+        lambdas = dict(lambda1=0.5, lambda2=1.2) if variant == "group" else dict(lambda1=2.0,
+                                                                                  lambda2=1.4)
+        full = None
+        rejected = 0
+        for k in range(1, 13):
+            cfg = baseline.BaselineConfig(max_iters=k, tol=1e-12, block_side=2, **lambdas)
+            xa, xb, trace = baseline.baseline_solve(a, y, mask, cfg, variant)
+            rec = trace.last
+            assert rec.residual_norm == np.linalg.norm(y - linops.forward(a, xa + xb, mask))
+            if full is not None:
+                assert [r.objective for r in trace.records[:-1]] == full
+                rejected += rec.objective == full[-1]
+            full = [r.objective for r in trace.records]
+        assert rejected >= 1  # the reused residual of a rejected step is covered

@@ -147,6 +147,22 @@ class TestSweep:
         par = (out_par / "sweep_metrics.csv").read_text()
         assert seq == par
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_point_keeps_finished_rows(self, tmp_path, monkeypatch, capsys, threads):
+        # M/N 0.001 at side 16 samples no entry: that point fails, the others stay
+        monkeypatch.setenv("MIXAMP_THREADS", threads)
+        out = tmp_path / "sw"
+        code = run_cli(
+            "sweep", "--case", "group", "--side", "16", "--sampling", "0.5,0.001",
+            "--seeds", "0,1", "--solver", "mixamp", "--max-iters", "20", "--out", str(out),
+        )
+        assert code == 2
+        rows = data.read_metrics_csv(out / "sweep_metrics.csv")
+        assert [(r["m_over_n"], r["seed"]) for r in rows] == [("0.5", "0"), ("0.5", "1")]
+        err = capsys.readouterr().err
+        for seed in (0, 1):
+            assert f"sampling=0.001 seed={seed} failed: m must satisfy" in err
+
     def test_empty_sampling_list_exit_2(self, tmp_path):
         assert run_cli("sweep", "--sampling", "", "--out", str(tmp_path / "x")) == 2
 
@@ -171,6 +187,13 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "FAIL adjoint_identity" in out
 
+    def test_injected_fault_dct_equivalence_exit_1(self, capsys):
+        assert run_cli("selfcheck", "--inject-fault", "dct_equivalence") == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL dct_equivalence")
+        assert "adjoint" in failed[0]
+
     def test_unknown_fault_name_exit_2(self):
         assert run_cli("selfcheck", "--inject-fault", "nope") == 2
 
@@ -189,3 +212,23 @@ class TestProblemConstruction:
         assert np.array_equal(a1.entries, a2.entries)
         assert np.array_equal(m1.indices, m2.indices)
         assert np.array_equal(y1, y2)
+
+
+class TestManifestParamTypes:
+    @pytest.mark.parametrize("key, value", [
+        ("side", "64"),          # string for an integer
+        ("max_iters", 5.0),      # float for an integer
+        ("block", True),         # bool for an integer
+        ("tol", "0.1"),          # string for a real number
+        ("rho", False),          # bool for a real number
+        ("disjoint", "yes"),     # string for a flag
+        ("case", "wavelet"),     # unknown choice
+        ("image", 5),            # number for a path
+    ])
+    def test_wrong_type_exit_2_names_key(self, tmp_path, capsys, key, value):
+        params = cli._resolve_params(cli.build_parser().parse_args(["separate"]))
+        params[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"schema": cli.MANIFEST_SCHEMA, "params": params}))
+        assert run_cli("separate", "--manifest", str(path), "--out", str(tmp_path / "x")) == 2
+        assert f"param {key} must be" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 """Measurement-model tests: generators, mask, forward/adjoint, oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from mixamp import linops
 from mixamp.exceptions import DimensionError, OracleScaleError, UnsupportedSizeError
@@ -217,3 +220,131 @@ class TestDctFastForward:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(UnsupportedSizeError):
             linops.dct_fast_forward(np.zeros((12, 12)), linops.full_mask(12))
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+class TestMasking:
+    """forward and dct_fast_forward zero the unsampled entries by a scatter
+    into mask.unsampled; it must give the bits np.where would give."""
+
+    def nonfinite_product(self, side, mask):
+        rng = np.random.default_rng(side)
+        y = rng.standard_normal((side, side))
+        off = np.argwhere(~mask.grid)
+        for (k, l), value in zip(off, (np.inf, -np.inf, np.nan, -0.0)):
+            y[k, l] = value
+        y[tuple(np.argwhere(mask.grid)[0])] = np.nan  # kept: it is sampled
+        return y
+
+    def test_scatter_equals_where_with_inf_and_nan(self):
+        for side in (4, 16, 256):
+            mask = linops.gen_mask(side, side * side // 2, seed=side)
+            y = self.nonfinite_product(side, mask)
+            expected = np.where(mask.grid, y, 0.0)
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                out = linops._zero_unsampled(layout(y.copy()), mask)
+                assert np.array_equal(_bits(out), _bits(expected))
+
+    def test_forward_with_nonfinite_input(self):
+        side = 16
+        a = linops.gen_gaussian_sensing(side, 100, seed=1)
+        mask = linops.gen_mask(side, 100, seed=2)
+        x = np.random.default_rng(3).standard_normal((side, side))
+        x[2, 3], x[5, 1] = np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            expected = np.where(mask.grid, a.entries @ x @ a.entries.T, 0.0)
+            out = linops.forward(a, x, mask)
+            fast = linops.dct_fast_forward(x, mask)
+            fast_expected = np.where(mask.grid, scipy.fft.dctn(x, type=2, norm="ortho"), 0.0)
+        assert not np.isfinite(out[mask.grid]).any()
+        assert np.array_equal(_bits(out), _bits(expected))
+        assert np.array_equal(_bits(fast), _bits(fast_expected))
+
+    def test_fortran_ordered_input(self):
+        side = 32
+        rng = np.random.default_rng(4)
+        a = linops.gen_gaussian_sensing(side, 600, seed=5)
+        mask = linops.gen_mask(side, 600, seed=6)
+        x = np.asfortranarray(rng.standard_normal((side, side)))
+        assert np.array_equal(linops.forward(a, x, mask),
+                              np.where(mask.grid, a.entries @ x @ a.entries.T, 0.0))
+        assert np.array_equal(linops.dct_fast_forward(x, mask),
+                              np.where(mask.grid, scipy.fft.dctn(x, type=2, norm="ortho"), 0.0))
+
+    def test_unsampled_index_cached_and_read_only(self):
+        mask = linops.gen_mask(8, 30, seed=7)
+        assert mask.unsampled is mask.unsampled
+        assert np.array_equal(mask.unsampled, np.flatnonzero(~mask.grid))
+        with pytest.raises(ValueError):
+            mask.unsampled[0] = 0
+
+
+class TestDctFastAdjoint:
+    def test_matches_explicit_adjoint(self):
+        rng = np.random.default_rng(10)
+        for side in (8, 32, 64, 128, 256):
+            a = linops.dct_sensing(side)
+            mask = linops.gen_mask(side, int(0.7 * side * side), seed=side)
+            r = linops.mask_apply(mask, rng.standard_normal((side, side)))
+            assert np.abs(linops.dct_fast_adjoint(r) - linops.adjoint(a, r)).max() <= 1e-10
+
+    def test_non_power_of_two_rejected(self):
+        with pytest.raises(UnsupportedSizeError):
+            linops.dct_fast_adjoint(np.zeros((12, 12)))
+
+
+class TestMeasurementOperator:
+    SCALE = 1.3
+
+    def operator(self, kind, side, scale):
+        m = int(0.7 * side * side)
+        a = linops.dct_sensing(side) if kind == "dct" else linops.gen_gaussian_sensing(side, m, 1)
+        mask = linops.gen_mask(side, m, seed=side + 1)
+        return a, mask, linops.MeasurementOperator(a, mask, scale)
+
+    def test_form_is_chosen_from_kind_and_side(self):
+        assert self.operator("dct", 16, 1.0)[2].fast
+        assert not self.operator("dct", 12, 1.0)[2].fast
+        assert not self.operator("gaussian", 16, 1.0)[2].fast
+
+    @pytest.mark.parametrize("kind", ["dct", "gaussian"])
+    @pytest.mark.parametrize("scale", [1.0, SCALE])
+    def test_adjoint_identity(self, kind, scale):
+        rng = np.random.default_rng(11)
+        for side in (8, 16, 64):
+            _, mask, op = self.operator(kind, side, scale)
+            x = rng.standard_normal((side, side))
+            r = linops.mask_apply(mask, rng.standard_normal((side, side)))
+            lhs = float((op.forward(x) * r).sum())
+            rhs = float((x * op.adjoint(r)).sum())
+            assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
+
+    @pytest.mark.parametrize("side", [8, 32, 64, 128, 256])
+    def test_fast_form_matches_dense_form(self, side):
+        rng = np.random.default_rng(side)
+        a, mask, op = self.operator("dct", side, self.SCALE)
+        dense = dataclasses.replace(a, entries=self.SCALE * a.entries)
+        x = rng.standard_normal((side, side))
+        r = linops.mask_apply(mask, rng.standard_normal((side, side)))
+        assert op.fast
+        assert np.abs(op.forward(x) - linops.forward(dense, x, mask)).max() <= 1e-10
+        assert np.abs(op.adjoint(r) - linops.adjoint(dense, r)).max() <= 1e-10
+
+    def test_dense_form_is_the_scaled_product(self):
+        # bit for bit what forward/adjoint give with the matrix normalize_problem builds
+        rng = np.random.default_rng(12)
+        a, mask, op = self.operator("gaussian", 16, self.SCALE)
+        dense = dataclasses.replace(a, entries=self.SCALE * a.entries)
+        x = rng.standard_normal((16, 16))
+        assert np.array_equal(op.forward(x), linops.forward(dense, x, mask))
+        assert np.array_equal(op.adjoint(x), linops.adjoint(dense, x))
+
+    def test_side_mismatch(self):
+        with pytest.raises(DimensionError):
+            linops.MeasurementOperator(linops.dct_sensing(8), linops.gen_mask(4, 10, seed=0))
+        _, _, op = self.operator("dct", 8, 1.0)
+        with pytest.raises(DimensionError):
+            op.adjoint(np.zeros((4, 4)))

@@ -1,5 +1,7 @@
 """Solver tests: initialization, step algebra, stopping rule, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ class TestStep:
         mask = linops.gen_mask(8, 40, seed=0)
         y = np.zeros((8, 8))
         state = solver.mixamp_init(y, mask)
-        new = solver.mixamp_step(state, a, y, mask, self.cfg())
+        new = solver.mixamp_step(state, linops.MeasurementOperator(a, mask), y, self.cfg())
         assert not new.xa.any() and not new.xb.any() and not new.r.any()
         assert new.theta == 0.0
         assert new.t == 1
@@ -99,7 +101,7 @@ class TestStep:
             denoiser_a=denoise.DenoiserSpec(kind="soft"),
             denoiser_b=denoise.DenoiserSpec(kind="soft"),
         )
-        new = solver.mixamp_step(state, a, y, mask, cfg)
+        new = solver.mixamp_step(state, linops.MeasurementOperator(a, mask), y, cfg)
         n, m = side * side, mask.m
         expected_xa = linops.adjoint(a, y) + state.xa
         assert np.allclose(new.xa, expected_xa, atol=1e-13)
@@ -116,7 +118,7 @@ class TestStep:
         y = rng.standard_normal((side, side))
         state = solver.mixamp_init(y, mask)
         cfg = self.cfg()
-        new = solver.mixamp_step(state, a, y, mask, cfg)
+        new = solver.mixamp_step(state, linops.MeasurementOperator(a, mask), y, cfg)
         thr = denoise.threshold_from_theta(state.theta, cfg.denoiser_a.tau)
         assert np.allclose(new.xa, denoise.soft_threshold(y, thr), atol=1e-14)
 
@@ -131,7 +133,7 @@ class TestStep:
         state = solver.mixamp_init(y_run, mask)
         off = ~mask.grid
         for _ in range(25):
-            state = solver.mixamp_step(state, a_run, y_run, mask, cfg)
+            state = solver.mixamp_step(state, linops.MeasurementOperator(a_run, mask), y_run, cfg)
             assert not state.r[off].any()
             assert state.theta == pytest.approx((state.r ** 2).sum() / mask.m, rel=1e-15)
 
@@ -143,8 +145,9 @@ class TestStep:
             max_iters=5,
         )
         state0 = solver.mixamp_init(y, mask)
-        full = solver.mixamp_step(state0, a, y, mask, solver.MixAmpConfig(**base))
-        bare = solver.mixamp_step(state0, a, y, mask, solver.MixAmpConfig(**base, onsager=False))
+        op = linops.MeasurementOperator(a, mask)
+        full = solver.mixamp_step(state0, op, y, solver.MixAmpConfig(**base))
+        bare = solver.mixamp_step(state0, op, y, solver.MixAmpConfig(**base, onsager=False))
         # estimates agree; residuals differ by exactly the correction terms
         assert np.array_equal(full.xa, bare.xa)
         assert np.array_equal(full.xb, bare.xb)
@@ -282,6 +285,24 @@ class TestRun:
         xa, xb_hat, trace = solver.mixamp_run(a, y, mask, cfg)
         assert np.isfinite(xb_hat).all()
         assert len(trace) >= 1
+
+    def test_dct_sensing_fast_form_keeps_iteration_counts(self):
+        # DCT sensing runs on the fast cosine transform; the dense product
+        # with the same matrix (any kind but "dct" takes that form) changes
+        # rounding only, so the iteration counts agree
+        cfg = solver.MixAmpConfig(
+            denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
+            denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.0),
+        )
+        for side, seed in ((16, 0), (16, 1), (32, 2), (32, 3), (64, 4)):
+            _, mask, xa, xb, _ = small_problem(side=side, mn=0.7, seed=seed)
+            a = linops.dct_sensing(side)
+            y = linops.forward(a, xa + xb, mask)
+            fast = solver.mixamp_run(a, y, mask, cfg)
+            dense = solver.mixamp_run(dataclasses.replace(a, kind="dense"), y, mask, cfg)
+            assert len(fast[2]) == len(dense[2])
+            assert np.abs(fast[0] - dense[0]).max() <= 1e-9
+            assert np.abs(fast[1] - dense[1]).max() <= 1e-9
 
 
 class TestNormalizeProblem:
