@@ -27,13 +27,15 @@ from .solver import IterationTrace, TraceRecord, stopping_tol
 BASELINE_VARIANTS = ("group", "tv")
 
 _ACCEPT_SLACK = 1e-10
+_POWER_ITERS = 100
+_POWER_SEED = 0
+_RESTART_PATIENCE = 10
 
 
 @dataclass
 class BaselineConfig:
     lambda1: float
     lambda2: float
-    epsilon: float = 0.0  # informational: slack of the constraint form being mimicked
     rho: float = 1e4
     max_iters: int = 1000
     tol: float = 5e-4
@@ -41,20 +43,15 @@ class BaselineConfig:
     tv_inner_iters: int = 20
     tv_mu: float | None = None
     tv_sweeps: int = 2
-    power_iters: int = 100
-    power_seed: int = 0
-    restart_patience: int = 10
 
     def __post_init__(self):
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
+        if not (self.lambda1 > 0 and self.lambda2 > 0):
             raise DomainError("lambda1 and lambda2 must be positive")
-        if self.epsilon < 0:
-            raise DomainError("epsilon must be nonnegative")
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise DomainError("rho must be positive")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise DomainError("tol must be positive")
 
 
@@ -89,12 +86,12 @@ def estimate_lipschitz(op, cfg):
     ``op`` is a linops.MeasurementOperator. Returns rho times the dominant
     eigenvalue, padded by 2% so the 1/L step never overshoots.
     """
-    rng = np.random.default_rng(cfg.power_seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal((op.side, op.side))
     va = v / np.linalg.norm(v)
     vb = va.copy()
     lam_max = 0.0
-    for _ in range(cfg.power_iters):
+    for _ in range(_POWER_ITERS):
         w = op.adjoint(op.forward(va + vb))
         lam_max = float(np.sqrt(2.0 * (w ** 2).sum()))
         if lam_max == 0.0:
@@ -161,13 +158,13 @@ def baseline_solve(a, y, mask, cfg, variant):
                 # a rejected step from a fresh restart is a plain proximal
                 # gradient step; it cannot increase F unless L is too small
                 plain_failures += 1
-                if plain_failures >= cfg.restart_patience:
+                if plain_failures >= _RESTART_PATIENCE:
                     raise SolverError(
                         f"objective kept increasing after restarts at iteration {it}"
                     )
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        if reject_streak >= cfg.restart_patience:
+        if reject_streak >= _RESTART_PATIENCE:
             za, zb = xa_new, xb_new
             t_next = 1.0
             reject_streak = 0

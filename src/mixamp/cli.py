@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 numerical/solver failure, 2 usage error.
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -62,60 +63,49 @@ def _seed_list(text):
     return seeds
 
 
+def _add_run_arguments(parser, case, sparsity):
+    """The options that separate and sweep share; only two defaults differ."""
+    parser.add_argument("--case", choices=CASES, default=case)
+    parser.add_argument("--side", type=int, default=64)
+    parser.add_argument("--sparsity", type=float, default=sparsity, help="shot-noise density")
+    parser.add_argument("--block", type=int, default=4, help="block side for group sparsity")
+    parser.add_argument("--active-fraction", type=float, default=0.25,
+                        help="fraction of active tiles in the group phantom")
+    parser.add_argument("--image", type=str, default=None,
+                        help="square PGM for the tv case (default: procedural scene)")
+    parser.add_argument("--solver", choices=SOLVERS, default="mixamp")
+    parser.add_argument("--max-iters", type=int, default=500)
+    parser.add_argument("--tol", type=float, default=5e-4)
+    parser.add_argument("--tau", type=float, default=None, help="threshold scale for both denoisers")
+    parser.add_argument("--tau-a", type=float, default=None)
+    parser.add_argument("--tau-b", type=float, default=None)
+    parser.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
+    parser.add_argument("--lambda1", type=float, default=None)
+    parser.add_argument("--lambda2", type=float, default=None)
+    parser.add_argument("--rho", type=float, default=1e4)
+    parser.add_argument("--no-timing", action="store_true",
+                        help="write wall_ms columns as 0 for bit-reproducible outputs")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="mixamp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sep = sub.add_parser("separate", help="run one separation experiment")
-    sep.add_argument("--case", choices=CASES, default="group")
-    sep.add_argument("--side", type=int, default=64)
+    _add_run_arguments(sep, case="group", sparsity=0.05)
     sep.add_argument("--sampling", type=_sampling, default=0.7, help="M/N in (0, 1]")
-    sep.add_argument("--sparsity", type=float, default=0.05, help="shot-noise density")
-    sep.add_argument("--block", type=int, default=4, help="block side for group sparsity")
-    sep.add_argument("--active-fraction", type=float, default=0.25,
-                     help="fraction of active tiles in the group phantom")
-    sep.add_argument("--image", type=str, default=None,
-                     help="square PGM for the tv case (default: procedural scene)")
     sep.add_argument("--seed", type=int, default=0)
-    sep.add_argument("--solver", choices=SOLVERS, default="mixamp")
-    sep.add_argument("--max-iters", type=int, default=500)
-    sep.add_argument("--tol", type=float, default=5e-4)
-    sep.add_argument("--tau", type=float, default=None, help="threshold scale for both denoisers")
-    sep.add_argument("--tau-a", type=float, default=None)
-    sep.add_argument("--tau-b", type=float, default=None)
-    sep.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
-    sep.add_argument("--lambda1", type=float, default=None)
-    sep.add_argument("--lambda2", type=float, default=None)
-    sep.add_argument("--rho", type=float, default=1e4)
     sep.add_argument("--disjoint", action="store_true",
                      help="draw shot-noise support disjoint from the group support")
-    sep.add_argument("--no-timing", action="store_true",
-                     help="write wall_ms columns as 0 for bit-reproducible outputs")
     sep.add_argument("--manifest", type=str, default=None,
                      help="re-run the configuration stored in a manifest file")
     sep.add_argument("--out", type=str, default="mixamp_out")
 
     swp = sub.add_parser("sweep", help="sweep sampling rates and seeds")
-    swp.add_argument("--case", choices=CASES, default="tv")
-    swp.add_argument("--side", type=int, default=64)
+    _add_run_arguments(swp, case="tv", sparsity=0.10)
     swp.add_argument("--sampling", type=_sampling_list, default=[0.3, 0.5, 0.7],
                      help="comma-separated M/N list")
     swp.add_argument("--seeds", type=_seed_list, default=[0, 1, 2], help="comma-separated seeds")
-    swp.add_argument("--sparsity", type=float, default=0.10)
-    swp.add_argument("--block", type=int, default=4)
-    swp.add_argument("--active-fraction", type=float, default=0.25)
-    swp.add_argument("--image", type=str, default=None)
-    swp.add_argument("--solver", choices=SOLVERS, default="mixamp")
-    swp.add_argument("--max-iters", type=int, default=500)
-    swp.add_argument("--tol", type=float, default=5e-4)
-    swp.add_argument("--tau", type=float, default=None)
-    swp.add_argument("--tau-a", type=float, default=None)
-    swp.add_argument("--tau-b", type=float, default=None)
-    swp.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
-    swp.add_argument("--lambda1", type=float, default=None)
-    swp.add_argument("--lambda2", type=float, default=None)
-    swp.add_argument("--rho", type=float, default=1e4)
-    swp.add_argument("--no-timing", action="store_true")
     swp.add_argument("--out", type=str, default="mixamp_sweep")
 
     chk = sub.add_parser("selfcheck", help="run the micro-scale oracle suite")
@@ -172,8 +162,9 @@ def _check_param_types(p):
         if isinstance(p[key], bool) or not isinstance(p[key], numbers.Integral):
             raise bad(key, "an integer")
     for key in _REAL_PARAMS:
-        if isinstance(p[key], bool) or not isinstance(p[key], numbers.Real):
-            raise bad(key, "a real number")
+        if (isinstance(p[key], bool) or not isinstance(p[key], numbers.Real)
+                or not math.isfinite(p[key])):
+            raise bad(key, "a finite real number")
     for key in _BOOL_PARAMS:
         if not isinstance(p[key], bool):
             raise bad(key, "true or false")
@@ -499,9 +490,9 @@ def _check_residual_support(fault):
     cfg = solver.MixAmpConfig(
         denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
         denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2),
-        max_iters=10, damping=0.3, record_trace=False,
+        max_iters=10, damping=0.3,
     )
-    _, y_run, c = solver.normalize_problem(a, y, mask)
+    y_run, c = solver.normalize_problem(a, y, mask)
     op = linops.MeasurementOperator(a, mask, c)
     state = solver.mixamp_init(y_run, mask)
     worst_off = 0.0

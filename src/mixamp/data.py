@@ -1,14 +1,13 @@
 """Phantom generation, PGM image I/O, quality metrics, and metrics CSV."""
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, ImageFormatError
 
-PHANTOM_KINDS = ("shot_noise", "group_sparse", "image_file")
+PHANTOM_KINDS = ("shot_noise", "group_sparse")
 AMPLITUDE_LAWS = ("pm1", "uniform", "constant")
 
 METRICS_COLUMNS = (
@@ -33,7 +32,6 @@ class PhantomSpec:
     active_fraction: float = 0.25
     amplitude: str = "pm1"
     seed: int = 0
-    path: str | None = None
 
     def __post_init__(self):
         if self.kind not in PHANTOM_KINDS:
@@ -121,7 +119,7 @@ def gen_cartoon(side, seed=0):
 
 def make_mixture(spec_a, spec_b, disjoint=False):
     """Ground-truth pair (xa, xb); supports overlap unless disjoint is set."""
-    xb = gen_group_sparse(spec_b) if spec_b.kind == "group_sparse" else load_image_pgm(spec_b.path)
+    xb = gen_group_sparse(spec_b)
     forbidden = xb != 0 if disjoint else None
     xa = gen_shot_noise(spec_a, forbidden=forbidden)
     return xa, xb
@@ -208,26 +206,15 @@ def psnr(reference, estimate):
     return 10.0 * np.log10(peak * peak / mse)
 
 
-def write_metrics_csv(path_or_buf, rows):
+def write_metrics_csv(path, rows):
     """Write metric rows under the canonical header, in the given order."""
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    handle = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=METRICS_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow({key: row[key] for key in METRICS_COLUMNS})
-    finally:
-        if own:
-            handle.close()
 
 
 def read_metrics_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def metrics_csv_text(rows):
-    buf = io.StringIO()
-    write_metrics_csv(buf, rows)
-    return buf.getvalue()

@@ -27,8 +27,7 @@ class DenoiserSpec:
     """Configuration of one denoiser.
 
     tau scales the threshold derived from the solver's noise estimate
-    theta: the denoiser receives tau * sqrt(theta) ("sqrt" mode, the
-    default) or tau * theta ("raw" compatibility mode). The tv_* fields
+    theta: the denoiser receives tau * sqrt(theta). The tv_* fields
     configure the split-Bregman inner iteration; mc_* fields configure the
     Monte-Carlo divergence probe used for the non-separable TV denoiser.
     """
@@ -39,7 +38,6 @@ class DenoiserSpec:
     tv_mu: float | None = None
     tv_sweeps: int = 2
     tau: float = 1.0
-    threshold_mode: str = "sqrt"
     mc_probes: int = 1
     mc_eps: float = 1e-3
     mc_seed: int = 0
@@ -51,17 +49,15 @@ class DenoiserSpec:
             raise DimensionError("block_soft requires block_side >= 1")
         if self.tv_inner_iters < 1:
             raise DomainError("tv_inner_iters must be >= 1")
-        if self.tv_mu is not None and self.tv_mu <= 0:
+        if self.tv_mu is not None and not self.tv_mu > 0:
             raise DomainError("tv_mu must be positive")
         if self.tv_sweeps < 1:
             raise DomainError("tv_sweeps must be >= 1")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise DomainError("tau must be positive")
-        if self.threshold_mode not in ("sqrt", "raw"):
-            raise DomainError(f"unknown threshold_mode {self.threshold_mode!r}")
         if self.mc_probes < 1:
             raise DomainError("mc_probes must be >= 1")
-        if self.mc_eps <= 0:
+        if not self.mc_eps > 0:
             raise DomainError("mc_eps must be positive")
 
 
@@ -92,16 +88,11 @@ def soft_threshold(x, thr):
     return float(out) if out.ndim == 0 else out
 
 
-def soft_threshold_derivative(x, thr):
-    """Entrywise derivative of soft thresholding: 1{|x| > thr}."""
+def soft_threshold_div(x, thr):
+    """Average derivative (1/N) * #{|x_ij| > thr} of soft thresholding."""
     if thr < 0:
         raise DomainError(f"threshold must be nonnegative, got {thr}")
-    return (np.abs(np.asarray(x, dtype=float)) > thr).astype(float)
-
-
-def soft_threshold_div(x, thr):
-    """Average derivative (1/N) * #{|x_ij| > thr}."""
-    return float(np.mean(soft_threshold_derivative(x, thr)))
+    return float(np.mean((np.abs(np.asarray(x, dtype=float)) > thr).astype(float)))
 
 
 def _blocks_view(x, block_side):

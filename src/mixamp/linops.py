@@ -249,7 +249,7 @@ class MeasurementOperator:
     power-of-two side takes the fast form: dct_fast_forward and
     dct_fast_adjoint, with c^2 applied as one multiply. Every other matrix
     takes the dense form: forward() and adjoint() with the matrix cA,
-    computed as normalize_problem computes it. Both forms call the public
+    built once here as c * a.entries. Both forms call the public
     functions of this module, so a profiler or tracer sees every product.
     """
 

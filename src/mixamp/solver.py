@@ -15,7 +15,6 @@ below the configured tolerance.
 """
 
 import csv
-import io
 import time
 from dataclasses import dataclass, field, replace
 
@@ -35,16 +34,14 @@ class MixAmpConfig:
     denoiser_b: denoise.DenoiserSpec
     max_iters: int = 500
     tol: float = 5e-4
-    record_trace: bool = True
     damping: float = 1.0
     onsager: bool = True
-    normalize: bool = True
     mc_seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise DomainError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise DomainError("damping must lie in (0, 1]")
@@ -76,7 +73,6 @@ class IterationTrace:
     """One record per completed iteration, serializable to CSV."""
 
     records: list = field(default_factory=list)
-    damping: float = 1.0
     record_timing: bool = True
 
     def append(self, record):
@@ -89,14 +85,9 @@ class IterationTrace:
     def last(self):
         return self.records[-1] if self.records else None
 
-    def total_wall_ms(self):
-        return sum(r.wall_ms for r in self.records)
-
-    def to_csv(self, path_or_buf):
+    def to_csv(self, path):
         """Write rows t, theta, tol, residual_norm, wall_ms."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        handle = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(TRACE_COLUMNS)
             for rec in self.records:
@@ -104,14 +95,6 @@ class IterationTrace:
                 writer.writerow(
                     [rec.t, repr(rec.theta), repr(rec.tol_value), repr(rec.residual_norm), f"{wall:.3f}"]
                 )
-        finally:
-            if own:
-                handle.close()
-
-    def to_csv_text(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def mixamp_init(y, mask):
@@ -131,10 +114,7 @@ def apply_denoiser(spec, x, theta, probe_seed=None):
     norms, whose noise floor is sqrt(B * theta) rather than sqrt(theta),
     so its threshold carries an extra sqrt(B) = block_side factor.
     """
-    if spec.threshold_mode == "raw":
-        thr = spec.tau * theta
-    else:
-        thr = denoise.threshold_from_theta(theta, spec.tau)
+    thr = denoise.threshold_from_theta(theta, spec.tau)
     if spec.kind == "soft":
         return denoise.DenoiseOutput(
             estimate=denoise.soft_threshold(x, thr),
@@ -212,8 +192,8 @@ def normalize_problem(a, y, mask):
     unchanged, so this is an exact reparameterization. It restores the
     threshold/correction calibration that the iteration assumes, which the
     raw N(0, 1/M) normalization does not provide for the two-sided product.
-    The scaled matrix keeps its kind, so a solver passes the unscaled
-    matrix and c to linops.MeasurementOperator instead.
+    Returns (c^2 Y, c); a solver passes the unscaled matrix and c to
+    linops.MeasurementOperator, which applies the scale.
     """
     if mask.m == 0:
         raise DegenerateProblemError("mask holds no samples")
@@ -222,8 +202,7 @@ def normalize_problem(a, y, mask):
         raise DegenerateProblemError("sensing matrix is identically zero")
     n = a.side * a.side
     c = (n / mask.m) ** 0.25 / np.sqrt(q)
-    a_scaled = replace(a, entries=c * a.entries)
-    return a_scaled, (c * c) * y, c
+    return (c * c) * y, c
 
 
 def mixamp_run(a, y, mask, cfg):
@@ -232,14 +211,11 @@ def mixamp_run(a, y, mask, cfg):
     Returns (xa, xb, trace). On numerical divergence raises
     SolverDivergenceError with the partial trace attached.
     """
-    y = linops.mask_apply(mask, y)
-    scale = 1.0
-    if cfg.normalize:
-        _, y, scale = normalize_problem(a, y, mask)
+    y, scale = normalize_problem(a, linops.mask_apply(mask, y), mask)
     op = linops.MeasurementOperator(a, mask, scale)
 
     state = mixamp_init(y, mask)
-    trace = IterationTrace(damping=cfg.damping)
+    trace = IterationTrace()
     while state.t < cfg.max_iters:
         tic = time.perf_counter()
         try:
@@ -250,16 +226,15 @@ def mixamp_run(a, y, mask, cfg):
         wall_ms = (time.perf_counter() - tic) * 1e3
         tol_value = stopping_tol((state.xa, state.xb), (new_state.xa, new_state.xb))
         state = new_state
-        if cfg.record_trace:
-            trace.append(
-                TraceRecord(
-                    t=state.t,
-                    theta=state.theta,
-                    tol_value=tol_value,
-                    residual_norm=float(np.linalg.norm(state.r)),
-                    wall_ms=wall_ms,
-                )
+        trace.append(
+            TraceRecord(
+                t=state.t,
+                theta=state.theta,
+                tol_value=tol_value,
+                residual_norm=float(np.linalg.norm(state.r)),
+                wall_ms=wall_ms,
             )
+        )
         if tol_value <= cfg.tol:
             break
     return state.xa, state.xb, trace

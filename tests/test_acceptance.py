@@ -152,13 +152,13 @@ def test_criterion_5_structural_checks():
         denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.0),
         damping=0.3,
     )
-    a_run, y_run, _ = solver.normalize_problem(a, y, mask)
+    y_run, c = solver.normalize_problem(a, y, mask)
     state = solver.mixamp_init(y_run, mask)
     off = ~mask.grid
     support_violation = 0.0
     theta_violation = 0.0
     for _ in range(25):
-        state = solver.mixamp_step(state, linops.MeasurementOperator(a_run, mask), y_run, cfg)
+        state = solver.mixamp_step(state, linops.MeasurementOperator(a, mask, c), y_run, cfg)
         support_violation = max(support_violation, float(np.abs(state.r[off]).max()))
         theta_violation = max(
             theta_violation,

@@ -170,6 +170,28 @@ class TestSweep:
         assert run_cli("sweep", "--sampling", "0.5,1.2", "--out", str(tmp_path / "x")) == 2
 
 
+class TestParsedDefaults:
+    SHARED = {
+        "side": 64, "block": 4, "active_fraction": 0.25, "image": None,
+        "solver": "mixamp", "max_iters": 500, "tol": 5e-4, "tau": None, "tau_a": None,
+        "tau_b": None, "damping": 0.3, "lambda1": None, "lambda2": None, "rho": 1e4,
+        "no_timing": False,
+    }
+
+    def test_separate(self):
+        assert vars(cli.build_parser().parse_args(["separate"])) == {
+            **self.SHARED, "command": "separate", "case": "group", "sparsity": 0.05,
+            "sampling": 0.7, "seed": 0, "disjoint": False, "manifest": None,
+            "out": "mixamp_out",
+        }
+
+    def test_sweep(self):
+        assert vars(cli.build_parser().parse_args(["sweep"])) == {
+            **self.SHARED, "command": "sweep", "case": "tv", "sparsity": 0.10,
+            "sampling": [0.3, 0.5, 0.7], "seeds": [0, 1, 2], "out": "mixamp_sweep",
+        }
+
+
 class TestSelfcheck:
     def test_healthy_build_exit_0(self, capsys):
         assert run_cli("selfcheck") == 0
@@ -221,6 +243,8 @@ class TestManifestParamTypes:
         ("block", True),         # bool for an integer
         ("tol", "0.1"),          # string for a real number
         ("rho", False),          # bool for a real number
+        ("tol", float("nan")),   # non-finite real number
+        ("rho", float("inf")),   # non-finite real number
         ("disjoint", "yes"),     # string for a flag
         ("case", "wavelet"),     # unknown choice
         ("image", 5),            # number for a path
@@ -232,3 +256,8 @@ class TestManifestParamTypes:
         path.write_text(json.dumps({"schema": cli.MANIFEST_SCHEMA, "params": params}))
         assert run_cli("separate", "--manifest", str(path), "--out", str(tmp_path / "x")) == 2
         assert f"param {key} must be" in capsys.readouterr().err
+
+    def test_non_finite_flag_exit_2_names_key(self, tmp_path, capsys):
+        # --tau sets both thresholds; the first one checked is named
+        assert run_cli("separate", "--tau", "nan", "--out", str(tmp_path / "x")) == 2
+        assert "param tau_a must be a finite real number" in capsys.readouterr().err

@@ -88,6 +88,12 @@ class TestMixture:
         xa, xb = data.make_mixture(spec_a, spec_b, disjoint=True)
         assert not ((xa != 0) & (xb != 0)).any()
 
+    def test_non_group_second_component_is_a_domain_error(self):
+        spec_a = data.PhantomSpec(kind="shot_noise", side=16, sparsity=0.1, seed=3)
+        spec_b = data.PhantomSpec(kind="shot_noise", side=16, sparsity=0.1, seed=4)
+        with pytest.raises(DomainError):
+            data.make_mixture(spec_a, spec_b)
+
 
 class TestCartoon:
     def test_range_and_determinism(self):

@@ -334,7 +334,7 @@ class TestMeasurementOperator:
         assert np.abs(op.adjoint(r) - linops.adjoint(dense, r)).max() <= 1e-10
 
     def test_dense_form_is_the_scaled_product(self):
-        # bit for bit what forward/adjoint give with the matrix normalize_problem builds
+        # bit for bit what forward/adjoint give with the scaled matrix c * a.entries
         rng = np.random.default_rng(12)
         a, mask, op = self.operator("gaussian", 16, self.SCALE)
         dense = dataclasses.replace(a, entries=self.SCALE * a.entries)

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mixamp import data, denoise, linops, solver
-from mixamp.exceptions import SolverDivergenceError
+from mixamp import baseline, data, denoise, linops, solver
+from mixamp.exceptions import DomainError, SolverDivergenceError
 
 SOFT = denoise.DenoiserSpec(kind="soft")
 BLOCK4 = denoise.DenoiserSpec(kind="block_soft", block_side=4)
@@ -129,11 +129,11 @@ class TestStep:
             denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2),
             damping=0.3,
         )
-        a_run, y_run, _ = solver.normalize_problem(a, y, mask)
+        y_run, c = solver.normalize_problem(a, y, mask)
         state = solver.mixamp_init(y_run, mask)
         off = ~mask.grid
         for _ in range(25):
-            state = solver.mixamp_step(state, linops.MeasurementOperator(a_run, mask), y_run, cfg)
+            state = solver.mixamp_step(state, linops.MeasurementOperator(a, mask, c), y_run, cfg)
             assert not state.r[off].any()
             assert state.theta == pytest.approx((state.r ** 2).sum() / mask.m, rel=1e-15)
 
@@ -242,32 +242,15 @@ class TestRun:
             assert (r1.t, r1.theta, r1.tol_value, r1.residual_norm) == \
                    (r2.t, r2.theta, r2.tol_value, r2.residual_norm)
 
-    def test_trace_csv_roundtrip(self):
+    def test_trace_csv_roundtrip(self, tmp_path):
         a, mask, _, _, y = small_problem(seed=5)
         cfg = solver.MixAmpConfig(max_iters=5, tol=1e-12, **self.CFG)
         _, _, trace = solver.mixamp_run(a, y, mask, cfg)
-        text = trace.to_csv_text()
-        lines = text.strip().splitlines()
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,theta,tol,residual_norm,wall_ms"
         assert len(lines) == len(trace) + 1
-
-    def test_damped_run_labeled_in_trace(self):
-        a, mask, _, _, y = small_problem(seed=5)
-        cfg = solver.MixAmpConfig(max_iters=3, tol=1e-12, **self.CFG)
-        _, _, trace = solver.mixamp_run(a, y, mask, cfg)
-        assert trace.damping == 0.3
-
-    def test_raw_theta_compatibility_mode(self):
-        # literal-theta thresholds: thr = tau * theta instead of tau * sqrt(theta)
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((8, 8))
-        theta = 0.25
-        spec = denoise.DenoiserSpec(kind="soft", tau=1.5, threshold_mode="raw")
-        out = solver.apply_denoiser(spec, x, theta)
-        expected = denoise.soft_threshold(x, 1.5 * theta)
-        assert np.array_equal(out.estimate, expected)
-        sqrt_mode = solver.apply_denoiser(denoise.DenoiserSpec(kind="soft", tau=1.5), x, theta)
-        assert not np.array_equal(out.estimate, sqrt_mode.estimate)
 
     def test_tv_denoiser_runs(self):
         side = 16
@@ -310,10 +293,10 @@ class TestNormalizeProblem:
         a, mask, _, _, y = small_problem(seed=7)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((16, 16))
-        a2, y2, c = solver.normalize_problem(a, y, mask)
+        y2, c = solver.normalize_problem(a, y, mask)
         # the scaled pair describes the same linear relation
-        assert np.allclose(linops.forward(a2, x, mask), c * c * linops.forward(a, x, mask),
-                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(linops.MeasurementOperator(a, mask, c).forward(x),
+                           c * c * linops.forward(a, x, mask), rtol=1e-12, atol=1e-12)
         assert np.allclose(y2, c * c * y, atol=0)
 
     def test_empty_mask_is_degenerate(self):
@@ -333,5 +316,17 @@ class TestNormalizeProblem:
         a = linops.identity_sensing(8)
         mask = linops.full_mask(8)
         y = np.ones((8, 8))
-        _, _, c = solver.normalize_problem(a, y, mask)
+        _, c = solver.normalize_problem(a, y, mask)
         assert c == pytest.approx(1.0)
+
+
+class TestConfigRejectsNaN:
+    @pytest.mark.parametrize("build", [
+        lambda: denoise.DenoiserSpec(kind="soft", tau=float("nan")),
+        lambda: solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT, tol=float("nan")),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, rho=float("nan")),
+        lambda: baseline.BaselineConfig(lambda1=float("nan"), lambda2=1.2),
+    ], ids=["DenoiserSpec.tau", "MixAmpConfig.tol", "BaselineConfig.rho", "BaselineConfig.lambda1"])
+    def test_nan_is_a_domain_error(self, build):
+        with pytest.raises(DomainError):
+            build()
