@@ -22,6 +22,7 @@ from .data import (
 from .denoise import (
     DenoiseOutput,
     DenoiserSpec,
+    TvState,
     block_soft_threshold,
     mc_divergence,
     soft_threshold,

@@ -9,7 +9,8 @@ correction term of the message-passing solver.
 """
 
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +21,12 @@ DENOISER_KINDS = ("soft", "block_soft", "tv_bregman")
 # Below this threshold the TV shrinkage weight 1/thr overflows any useful
 # range; the denoiser degenerates to the identity map.
 _TV_IDENTITY_THR = 1e-12
+
+
+def _check_count(name, value, minimum=1):
+    """Raise DomainError unless value is an integer >= minimum; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,29 +52,47 @@ class DenoiserSpec:
     def __post_init__(self):
         if self.kind not in DENOISER_KINDS:
             raise DomainError(f"unknown denoiser kind {self.kind!r}")
+        _check_count("block_side", self.block_side, minimum=0)
         if self.kind == "block_soft" and self.block_side < 1:
             raise DimensionError("block_soft requires block_side >= 1")
-        if self.tv_inner_iters < 1:
-            raise DomainError("tv_inner_iters must be >= 1")
+        _check_count("tv_inner_iters", self.tv_inner_iters)
         if self.tv_mu is not None and not self.tv_mu > 0:
             raise DomainError("tv_mu must be positive")
-        if self.tv_sweeps < 1:
-            raise DomainError("tv_sweeps must be >= 1")
+        _check_count("tv_sweeps", self.tv_sweeps)
         if not self.tau > 0:
             raise DomainError("tau must be positive")
-        if self.mc_probes < 1:
-            raise DomainError("mc_probes must be >= 1")
+        _check_count("mc_probes", self.mc_probes)
         if not self.mc_eps > 0:
             raise DomainError("mc_eps must be positive")
 
 
+@dataclass
+class TvState:
+    """Split-Bregman state that one TV solve hands on to the next.
+
+    p is the flat zero-padded iterate buffer of _tv_layout, d and b the
+    stacked split and Bregman variables, and mu the penalty they were formed
+    with. An empty TvState() asks for a cold start.
+    """
+
+    p: np.ndarray | None = None
+    d: np.ndarray | None = None
+    b: np.ndarray | None = None
+    mu: float | None = None
+
+
 @dataclass(frozen=True)
 class DenoiseOutput:
-    """Denoised grid plus the average-derivative scalar <eta'>."""
+    """Denoised grid plus the average-derivative scalar <eta'>.
+
+    A TV denoiser also returns the state its solve ended in, from which the
+    next solve can start.
+    """
 
     estimate: np.ndarray
     divergence_avg: float
     tv_converged: bool = True
+    tv_state: TvState | None = None
 
 
 def threshold_from_theta(theta, tau):
@@ -178,10 +203,14 @@ def _tv_layout(side):
     return w, deg, edge
 
 
-def _tv_bregman_estimate(x, lam, spec):
+def _tv_bregman_estimate(x, lam, spec, state=None):
     """Split-Bregman minimization of tv_objective; returns (u, converged).
 
-    Works on the flat layout of _tv_layout; see tv_denoise_bregman.
+    Works on the flat layout of _tv_layout; see tv_denoise_bregman. A
+    non-empty ``state`` is the start point: its arrays are read, never
+    written, and b is rescaled by mu_old / mu. Without one, or with an
+    empty one, the solve starts cold from u = x, d = Du, b = 0. A given
+    ``state`` receives the final (p, d, b, mu).
     """
     side = x.shape[0]
     mu = spec.tv_mu if spec.tv_mu is not None else 2.0 * lam
@@ -195,9 +224,12 @@ def _tv_bregman_estimate(x, lam, spec):
         return flat.reshape(side + 2, w)[1:rows + 1, 1:cols + 1]
 
     p = np.zeros(deg.size)
-    u = view(p)
-    u[...] = x
+    view(p)[...] = x
     lam_x = lam * p[lo:hi]
+    warm = state is not None and state.p is not None
+    if warm:
+        p = state.p.copy()
+    u = view(p)
     denom = lam + mu * deg  # inf on the pads, which therefore stay zero
     colors = [(s, denom[s:hi:2].copy()) for s in (lo, lo + 1)]
 
@@ -207,9 +239,14 @@ def _tv_bregman_estimate(x, lam, spec):
         out *= edge
 
     g = np.zeros((2, deg.size))
-    gradient(g)
-    d = g.copy()  # split variables d ~ Du, stacked (horizontal, vertical)
-    b = np.zeros_like(d)
+    if warm:
+        # b is the scaled dual variable (dual / mu), so it moves with mu
+        d = state.d.copy()
+        b = state.b * (state.mu / mu)
+    else:
+        gradient(g)
+        d = g.copy()  # split variables d ~ Du, stacked (horizontal, vertical)
+        b = np.zeros_like(d)
     t = np.empty_like(d)
     # (side, side - 1) and (side - 1, side) views: the split residual is
     # formed as a contiguous grid array, so its sum keeps the reduction order
@@ -249,10 +286,12 @@ def _tv_bregman_estimate(x, lam, spec):
         u_prev = u_now
         if progress <= 1e-12:
             break
+    if state is not None:
+        state.p, state.d, state.b, state.mu = p, d, b, mu
     return u_prev, progress <= 1e-4
 
 
-def tv_denoise_bregman(x, lam, spec):
+def tv_denoise_bregman(x, lam, spec, state=None):
     """Approximate argmin of ||u||_TV + (lam/2)||u - x||_F^2.
 
     Split Bregman (Goldstein & Osher 2009): anisotropic shrinkage on split
@@ -274,10 +313,19 @@ def tv_denoise_bregman(x, lam, spec):
     implementation bit for bit. (A NaN spreads faster: 0 * NaN on a
     missing edge carries it through the pads.)
 
+    ``state`` is the TvState of an earlier solve on a grid of the same
+    side, typically the previous outer iteration of a solver. The inner
+    iteration then starts from its (p, d, b) instead of u = x, d = Du,
+    b = 0, with b rescaled by mu_old / mu because mu = 2 lam follows lam.
+    A few warm inner iterations then do the work of many cold ones. The
+    state is not modified; the output carries the state this solve ended
+    in as tv_state. Without a state the solve is cold.
+
     A run that is still moving after tv_inner_iters returns its last
     iterate with tv_converged=False rather than raising. The divergence is
     estimated by a Rademacher probe (mc_divergence) seeded from
-    spec.mc_seed.
+    spec.mc_seed; each probe solve starts from the same state as the
+    estimate, so the probe is a finite difference of one map.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
@@ -287,9 +335,11 @@ def tv_denoise_bregman(x, lam, spec):
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 2:
         raise DimensionError(f"expected a square grid with side >= 2, got shape {x.shape}")
 
-    u, converged = _tv_bregman_estimate(x, lam, spec)
+    start = TvState() if state is None else state
+    end = replace(start)  # the kernel rebinds the fields of its own copy
+    u, converged = _tv_bregman_estimate(x, lam, spec, end)
     div = mc_divergence(
-        lambda v: _tv_bregman_estimate(v, lam, spec)[0],
+        lambda v: _tv_bregman_estimate(v, lam, spec, replace(start))[0],
         x,
         probe_seed=spec.mc_seed,
         eps=spec.mc_eps,
@@ -298,7 +348,7 @@ def tv_denoise_bregman(x, lam, spec):
     )
     # prox of a convex function: each diagonal slope lies in [0, 1]
     div = float(min(max(div, 0.0), 1.0))
-    return DenoiseOutput(estimate=u, divergence_avg=div, tv_converged=converged)
+    return DenoiseOutput(estimate=u, divergence_avg=div, tv_converged=converged, tv_state=end)
 
 
 def mc_divergence(eta, x, probe_seed, eps, n_probes=1, _precomputed=None):

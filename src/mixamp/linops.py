@@ -258,8 +258,9 @@ class MeasurementOperator:
             raise DimensionError(f"mask side {mask.side} does not match matrix side {a.side}")
         self.mask = mask
         self.side = a.side
+        self.kind = a.kind
         self.fast = a.kind == "dct" and _is_power_of_two(a.side)
-        self._gain = scale * scale
+        self.gain = scale * scale  # c^2
         self._a = a if self.fast or scale == 1.0 else replace(a, entries=scale * a.entries)
 
     def forward(self, x):
@@ -275,6 +276,6 @@ class MeasurementOperator:
         return self._scaled(dct_fast_adjoint(_check_grid(r, side=self.side, name="r")))
 
     def _scaled(self, product):
-        if self._gain != 1.0:
-            product *= self._gain
+        if self.gain != 1.0:
+            product *= self.gain
         return product

@@ -39,8 +39,7 @@ class MixAmpConfig:
     mc_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
+        denoise._check_count("max_iters", self.max_iters)
         if not self.tol > 0:
             raise DomainError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
@@ -49,13 +48,19 @@ class MixAmpConfig:
 
 @dataclass
 class MixAmpState:
-    """Full per-iteration state: estimates, masked residual, theta, counter."""
+    """Full per-iteration state: estimates, masked residual, theta, counter.
+
+    tv_a and tv_b hold the TV solve state of a tv_bregman component, from
+    which its next denoising starts; None starts it cold.
+    """
 
     xa: np.ndarray
     xb: np.ndarray
     r: np.ndarray
     theta: float
     t: int = 0
+    tv_a: denoise.TvState | None = None
+    tv_b: denoise.TvState | None = None
 
 
 @dataclass
@@ -107,12 +112,13 @@ def mixamp_init(y, mask):
     return MixAmpState(xa=zero.copy(), xb=zero.copy(), r=y.copy(), theta=theta, t=0)
 
 
-def apply_denoiser(spec, x, theta, probe_seed=None):
+def apply_denoiser(spec, x, theta, probe_seed=None, tv_state=None):
     """Evaluate a configured denoiser at threshold scale derived from theta.
 
     The block denoiser compares thresholds against per-block Frobenius
     norms, whose noise floor is sqrt(B * theta) rather than sqrt(theta),
     so its threshold carries an extra sqrt(B) = block_side factor.
+    tv_state is the TV solve state to start from (tv_bregman only).
     """
     thr = denoise.threshold_from_theta(theta, spec.tau)
     if spec.kind == "soft":
@@ -123,19 +129,20 @@ def apply_denoiser(spec, x, theta, probe_seed=None):
     if spec.kind == "block_soft":
         return denoise.block_soft_threshold(x, spec.block_side, thr * spec.block_side)
     # tv_bregman: the prox weight is the reciprocal threshold; a vanishing
-    # threshold means no denoising at all
+    # threshold means no denoising at all, and leaves no state to carry on
     if thr < denoise._TV_IDENTITY_THR:
         return denoise.DenoiseOutput(estimate=np.asarray(x, dtype=float).copy(), divergence_avg=1.0)
     if probe_seed is not None:
         spec = replace(spec, mc_seed=probe_seed)
-    return denoise.tv_denoise_bregman(x, 1.0 / thr, spec)
+    return denoise.tv_denoise_bregman(x, 1.0 / thr, spec, tv_state)
 
 
 def mixamp_step(state, op, y, cfg):
     """One Algorithm-1 iteration; returns a new state, inputs untouched.
 
     ``op`` is the linops.MeasurementOperator of the run; ``y`` holds the
-    measurements at its scale.
+    measurements at its scale. A TV denoiser starts from the solve state
+    it left in ``state`` and hands its new one on in the returned state.
     """
     side = op.side
     if state.r.shape != (side, side) or y.shape != (side, side):
@@ -147,8 +154,9 @@ def mixamp_step(state, op, y, cfg):
     # overflow here is how divergence manifests; it is detected below
     with np.errstate(over="ignore", invalid="ignore"):
         z = op.adjoint(state.r)
-        out_a = apply_denoiser(cfg.denoiser_a, z + state.xa, state.theta, probe_seed)
-        out_b = apply_denoiser(cfg.denoiser_b, z + state.xb, state.theta, probe_seed + 1)
+        out_a = apply_denoiser(cfg.denoiser_a, z + state.xa, state.theta, probe_seed, state.tv_a)
+        out_b = apply_denoiser(cfg.denoiser_b, z + state.xb, state.theta, probe_seed + 1,
+                               state.tv_b)
 
         beta = cfg.damping
         xa_new = out_a.estimate if beta == 1.0 else (1.0 - beta) * state.xa + beta * out_a.estimate
@@ -165,7 +173,8 @@ def mixamp_step(state, op, y, cfg):
         raise SolverDivergenceError(
             f"non-finite residual at iteration {state.t + 1}", iteration=state.t + 1
         )
-    return MixAmpState(xa=xa_new, xb=xb_new, r=r_new, theta=theta_new, t=state.t + 1)
+    return MixAmpState(xa=xa_new, xb=xb_new, r=r_new, theta=theta_new, t=state.t + 1,
+                       tv_a=out_a.tv_state, tv_b=out_b.tv_state)
 
 
 def stopping_tol(prev, cur):

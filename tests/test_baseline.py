@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from mixamp import baseline, data, linops
-from mixamp.exceptions import DomainError
+from mixamp import baseline, data, denoise, linops
+from mixamp.exceptions import DomainError, SolverError
 
 CFG_GROUP = dict(lambda1=0.5, lambda2=1.2, block_side=2)
 
@@ -70,25 +70,65 @@ class TestObjectiveEval:
                                     linops.MeasurementOperator(a, mask), y, cfg, "wavelet")
 
 
+def assert_descent_lemma(a, mask, y, cfg):
+    # descent lemma with the estimated step on 100 random pairs
+    lip = baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask), cfg)
+    rng = np.random.default_rng(4)
+    side = a.side
+
+    def f_smooth(za, zb):
+        resid = y - linops.forward(a, za + zb, mask)
+        return 0.5 * cfg.rho * float((resid ** 2).sum())
+
+    for _ in range(100):
+        za = rng.standard_normal((side, side))
+        zb = rng.standard_normal((side, side))
+        grad = -cfg.rho * linops.adjoint(a, y - linops.forward(a, za + zb, mask))
+        gnorm2 = 2.0 * float((grad ** 2).sum())  # same gradient for both blocks
+        stepped = f_smooth(za - grad / lip, zb - grad / lip)
+        assert stepped <= f_smooth(za, zb) - gnorm2 / (2.0 * lip) + 1e-9 * max(1.0, abs(stepped))
+
+
 class TestLipschitz:
     def test_no_gradient_overshoot(self):
-        # descent lemma with the estimated step on 100 random pairs
         a, mask, _, _, y = group_problem(seed=3)
+        assert_descent_lemma(a, mask, y, baseline.BaselineConfig(**CFG_GROUP))
+
+    def test_no_gradient_overshoot_dct(self):
+        _, mask, xa, xb, _ = group_problem(seed=3)
+        a = linops.dct_sensing(8)
+        y = linops.forward(a, xa + xb, mask)
+        assert_descent_lemma(a, mask, y, baseline.BaselineConfig(**CFG_GROUP))
+
+    @pytest.mark.parametrize("side", [8, 32, 256])
+    def test_closed_form_matches_power_iteration(self, side):
+        # the same operator takes the power iteration once it no longer
+        # reports an orthonormal kind; the DCT keeps its fast products
         cfg = baseline.BaselineConfig(**CFG_GROUP)
-        lip = baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask), cfg)
-        rng = np.random.default_rng(4)
+        mask = linops.gen_mask(side, int(0.7 * side * side), seed=side)
+        matrices = [linops.dct_sensing(side)] + ([linops.identity_sensing(side)] if side < 256 else [])
+        for a in matrices:
+            for scale in (1.0, 1.3):
+                op = linops.MeasurementOperator(a, mask, scale)
+                closed = baseline.estimate_lipschitz(op, cfg)
+                op.kind = "unknown"
+                power = baseline.estimate_lipschitz(op, cfg)
+                assert abs(closed - power) <= 1e-9 * power, (a.kind, scale)
 
-        def f_smooth(za, zb):
-            resid = y - linops.forward(a, za + zb, mask)
-            return 0.5 * cfg.rho * float((resid ** 2).sum())
+    def test_closed_form_runs_no_products(self):
+        cfg = baseline.BaselineConfig(**CFG_GROUP)
+        op = linops.MeasurementOperator(linops.dct_sensing(256), linops.gen_mask(256, 40000, seed=1))
+        op.forward = op.adjoint = None  # any product would raise
+        assert baseline.estimate_lipschitz(op, cfg) == cfg.rho * 2.0 * 1.02
 
-        for _ in range(100):
-            za = rng.standard_normal((8, 8))
-            zb = rng.standard_normal((8, 8))
-            grad = -cfg.rho * linops.adjoint(a, y - linops.forward(a, za + zb, mask))
-            gnorm2 = 2.0 * float((grad ** 2).sum())  # same gradient for both blocks
-            stepped = f_smooth(za - grad / lip, zb - grad / lip)
-            assert stepped <= f_smooth(za, zb) - gnorm2 / (2.0 * lip) + 1e-9 * max(1.0, abs(stepped))
+    def test_empty_mask_is_a_solver_error(self):
+        empty = linops.SamplingMask(side=8, indices=np.zeros((0, 2), dtype=np.int64),
+                                    grid=np.zeros((8, 8), dtype=bool))
+        cfg = baseline.BaselineConfig(**CFG_GROUP)
+        assert baseline.estimate_lipschitz(
+            linops.MeasurementOperator(linops.dct_sensing(8), empty), cfg) == 0.0
+        with pytest.raises(SolverError):
+            baseline.baseline_solve(linops.dct_sensing(8), np.zeros((8, 8)), empty, cfg, "group")
 
 
 class TestBaselineSolve:
@@ -175,3 +215,23 @@ class TestBaselineSolve:
                 rejected += rec.objective == full[-1]
             full = [r.objective for r in trace.records]
         assert rejected >= 1  # the reused residual of a rejected step is covered
+
+    def test_tv_prox_starts_where_the_last_one_ended(self, monkeypatch):
+        # every TV prox of a run after the first starts from the state the
+        # previous one left, at the same mu; the first starts cold
+        calls = []
+        kernel = denoise._tv_bregman_estimate
+
+        def spy(x, lam, spec, state=None):
+            start = None if state.p is None else (state.p.copy(), state.mu)
+            result = kernel(x, lam, spec, state)
+            calls.append((start, state.p.copy(), state.mu))
+            return result
+
+        monkeypatch.setattr(denoise, "_tv_bregman_estimate", spy)
+        a, mask, _, _, y = group_problem(seed=13)
+        cfg = baseline.BaselineConfig(lambda1=2.0, lambda2=1.4, max_iters=30, tv_inner_iters=5)
+        baseline.baseline_solve(a, y, mask, cfg, "tv")
+        assert len(calls) == 30 and calls[0][0] is None
+        for (_, p_end, mu_end), (start, _, mu) in zip(calls, calls[1:]):
+            assert np.array_equal(start[0], p_end) and start[1] == mu_end == mu

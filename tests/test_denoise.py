@@ -1,6 +1,8 @@
 """Denoiser tests against brute-force prox, finite-difference divergence,
 and subgradient-descent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,82 @@ class TestTvKernelMatchesReference:
         v = _tv_kernel_inputs(12)["cartoon"]
         u_ref, _ = oracles.tv_bregman_reference(v, 1.0 / 0.4, spec)
         assert np.array_equal(baseline._prox_b(v, 0.4, cfg, "tv"), u_ref)
+
+
+def _tv_spec(iters, mu=None):
+    return denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=iters, tv_mu=mu)
+
+
+def _converged_state(x, lam, mu=None):
+    """A cold 2000-iteration solve; returns (u, state it ended in)."""
+    state = denoise.TvState()
+    u, converged = denoise._tv_bregman_estimate(x, lam, _tv_spec(2000, mu), state)
+    assert converged
+    return u, state
+
+
+def _arrays(state):
+    return [state.p.copy(), state.d.copy(), state.b.copy()]
+
+
+class TestTvWarmStart:
+    """Split-Bregman solves that start from the state an earlier one left."""
+
+    X = _tv_kernel_inputs(16)["cartoon"]
+
+    def test_empty_state_is_the_cold_path(self):
+        for iters in (1, 5, 20):
+            state = denoise.TvState()
+            u, flag = denoise._tv_bregman_estimate(self.X, 1.3, _tv_spec(iters), state)
+            u_ref, flag_ref = oracles.tv_bregman_reference(self.X, 1.3, _tv_spec(iters))
+            assert np.array_equal(u, u_ref) and flag == flag_ref
+            assert state.mu == 2.0 * 1.3
+            assert np.array_equal(state.p.reshape(18, 17)[1:17, 1:17], u)
+
+    def test_converged_state_is_a_fixed_point(self):
+        u_deep, state = _converged_state(self.X, 1.3)
+        before = _arrays(state)
+        u, _ = denoise._tv_bregman_estimate(self.X, 1.3, _tv_spec(5), replace(state))
+        assert np.abs(u - u_deep).max() <= 1e-10
+        assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(state)))
+
+    def test_mu_change_keeps_the_fixed_point(self):
+        # the optimality conditions involve b only through the dual mu b, so
+        # a converged state stays converged under a new mu once b is rescaled
+        for mu_old, mu_new in ((1.0, 3.0), (3.0, 1.0)):
+            u_deep, state = _converged_state(self.X, 1.3, mu_old)
+            u, _ = denoise._tv_bregman_estimate(self.X, 1.3, _tv_spec(5, mu_new), state)
+            assert np.abs(u - u_deep).max() <= 1e-10
+            assert state.mu == mu_new
+
+    def test_warm_after_lambda_change_beats_cold(self):
+        for lam_old, lam_new in ((1.0, 2.0), (2.0, 1.0), (1.0, 4.0)):
+            _, state = _converged_state(self.X, lam_old)
+            target, _ = _converged_state(self.X, lam_new)
+            warm, _ = denoise._tv_bregman_estimate(self.X, lam_new, _tv_spec(5), state)
+            cold, _ = denoise._tv_bregman_estimate(self.X, lam_new, _tv_spec(5))
+            assert np.linalg.norm(warm - target) < np.linalg.norm(cold - target)
+
+    def test_probe_is_a_finite_difference_of_the_warm_map(self):
+        _, state = _converged_state(self.X, 1.0)
+        before = _arrays(state)
+        spec = denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=5, mc_probes=2, mc_seed=3)
+        out = denoise.tv_denoise_bregman(self.X, 1.7, spec, state)
+
+        def warm_map(v):
+            return denoise._tv_bregman_estimate(v, 1.7, spec, replace(state))[0]
+
+        div = denoise.mc_divergence(warm_map, self.X, probe_seed=3, eps=spec.mc_eps, n_probes=2)
+        assert np.array_equal(out.estimate, warm_map(self.X))
+        assert out.divergence_avg == min(max(div, 0.0), 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(state)))
+        assert out.tv_state is not state and out.tv_state.mu == 2.0 * 1.7
+
+    def test_cold_call_returns_a_state(self):
+        out = denoise.tv_denoise_bregman(self.X, 1.3, _tv_spec(20))
+        u_ref, _ = oracles.tv_bregman_reference(self.X, 1.3, _tv_spec(20))
+        assert np.array_equal(out.estimate, u_ref)
+        assert out.tv_state.mu == 2.0 * 1.3
 
 
 class TestMcDivergence:

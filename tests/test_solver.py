@@ -288,6 +288,48 @@ class TestRun:
             assert np.abs(fast[1] - dense[1]).max() <= 1e-9
 
 
+class TestTvStateCarry:
+    """A TV component hands its split-Bregman state on from step to step."""
+
+    TV = denoise.DenoiserSpec(kind="tv_bregman", tau=1.0, tv_inner_iters=5)
+
+    def setup(self, damping):
+        a, mask, _, _, y = small_problem(seed=3)
+        y_run, c = solver.normalize_problem(a, y, mask)
+        cfg = solver.MixAmpConfig(denoiser_a=denoise.DenoiserSpec(kind="soft", tau=2.0),
+                                  denoiser_b=self.TV, damping=damping)
+        op = linops.MeasurementOperator(a, mask, c)
+        return op, y_run, cfg, solver.mixamp_step(solver.mixamp_init(y_run, mask), op, y_run, cfg)
+
+    def test_step_is_pure_and_hands_on_a_new_state(self):
+        op, y, cfg, s1 = self.setup(damping=0.3)
+        assert s1.tv_a is None and isinstance(s1.tv_b, denoise.TvState)
+        before = [s1.tv_b.p.copy(), s1.tv_b.d.copy(), s1.tv_b.b.copy()]
+        s2 = solver.mixamp_step(s1, op, y, cfg)
+        again = solver.mixamp_step(s1, op, y, cfg)
+        for name in ("xa", "xb", "r"):
+            assert np.array_equal(getattr(s2, name), getattr(again, name)), name
+        assert s2.theta == again.theta and np.array_equal(s2.tv_b.p, again.tv_b.p)
+        assert s2.tv_b is not s1.tv_b
+        assert all(np.array_equal(a, b) for a, b in zip(before, (s1.tv_b.p, s1.tv_b.d, s1.tv_b.b)))
+
+    def test_denoising_starts_from_the_carried_state(self):
+        op, y, cfg, s1 = self.setup(damping=1.0)
+        thr = denoise.threshold_from_theta(s1.theta, self.TV.tau)
+        spec = dataclasses.replace(self.TV, mc_seed=cfg.mc_seed + 2 * s1.t + 1)
+        expected = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, spec, s1.tv_b)
+        cold = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, spec)
+        s2 = solver.mixamp_step(s1, op, y, cfg)
+        assert np.array_equal(s2.xb, expected.estimate)
+        assert not np.array_equal(s2.xb, cold.estimate)
+
+    def test_identity_path_hands_on_no_state(self):
+        x = np.random.default_rng(4).standard_normal((8, 8))
+        state = denoise.tv_denoise_bregman(x, 1.0, self.TV).tv_state
+        out = solver.apply_denoiser(self.TV, x, 0.0, tv_state=state)
+        assert np.array_equal(out.estimate, x) and out.tv_state is None
+
+
 class TestNormalizeProblem:
     def test_exact_reparameterization(self):
         a, mask, _, _, y = small_problem(seed=7)
@@ -326,7 +368,27 @@ class TestConfigRejectsNaN:
         lambda: solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT, tol=float("nan")),
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, rho=float("nan")),
         lambda: baseline.BaselineConfig(lambda1=float("nan"), lambda2=1.2),
-    ], ids=["DenoiserSpec.tau", "MixAmpConfig.tol", "BaselineConfig.rho", "BaselineConfig.lambda1"])
+        lambda: solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT, max_iters=float("nan")),
+        lambda: solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT, max_iters=10.0),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, max_iters=float("nan")),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, max_iters=True),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_inner_iters=2.5),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_inner_iters=0),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_sweeps=float("nan")),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, block_side=0),
+        lambda: denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=float("nan")),
+        lambda: denoise.DenoiserSpec(kind="tv_bregman", tv_sweeps=1.5),
+        lambda: denoise.DenoiserSpec(kind="tv_bregman", mc_probes=True),
+        lambda: denoise.DenoiserSpec(kind="block_soft", block_side=4.0),
+        lambda: denoise.DenoiserSpec(kind="block_soft", block_side=float("nan")),
+    ], ids=["DenoiserSpec.tau", "MixAmpConfig.tol", "BaselineConfig.rho", "BaselineConfig.lambda1",
+            "MixAmpConfig.max_iters-nan", "MixAmpConfig.max_iters-float",
+            "BaselineConfig.max_iters-nan", "BaselineConfig.max_iters-bool",
+            "BaselineConfig.tv_inner_iters-float", "BaselineConfig.tv_inner_iters-zero",
+            "BaselineConfig.tv_sweeps-nan", "BaselineConfig.block_side-zero",
+            "DenoiserSpec.tv_inner_iters-nan", "DenoiserSpec.tv_sweeps-float",
+            "DenoiserSpec.mc_probes-bool", "DenoiserSpec.block_side-float",
+            "DenoiserSpec.block_side-nan"])
     def test_nan_is_a_domain_error(self, build):
         with pytest.raises(DomainError):
             build()
