@@ -41,8 +41,6 @@ class BaselineConfig:
     tol: float = 5e-4
     block_side: int = 4
     tv_inner_iters: int = 20
-    tv_mu: float | None = None
-    tv_sweeps: int = 2
 
     def __post_init__(self):
         if not (self.lambda1 > 0 and self.lambda2 > 0):
@@ -54,7 +52,6 @@ class BaselineConfig:
             raise DomainError("tol must be positive")
         denoise._check_count("block_side", self.block_side)
         denoise._check_count("tv_inner_iters", self.tv_inner_iters)
-        denoise._check_count("tv_sweeps", self.tv_sweeps)
 
 
 def _check_variant(variant):
@@ -109,22 +106,17 @@ def estimate_lipschitz(op, cfg):
 
 
 def _prox_b(v, step_weight, cfg, variant, tv_state=None):
-    """Prox of step_weight times the second regularizer at v.
+    """Prox of step_weight times the second regularizer at v; returns (u, state).
 
-    For the tv variant a given tv_state is the split-Bregman state to start
-    from, and the solve leaves its final state in it.
+    For the tv variant tv_state is the split-Bregman state to start from
+    (None: cold), and state is the one the solve ended in; the group
+    variant returns state None.
     """
     if variant == "group":
-        return denoise.block_soft_threshold(v, cfg.block_side, step_weight).estimate
-    spec = denoise.DenoiserSpec(
-        kind="tv_bregman",
-        tv_inner_iters=cfg.tv_inner_iters,
-        tv_mu=cfg.tv_mu,
-        tv_sweeps=cfg.tv_sweeps,
-    )
-    u, _ = denoise._tv_bregman_estimate(np.asarray(v, dtype=float), 1.0 / step_weight, spec,
-                                        tv_state)
-    return u
+        return denoise.block_soft_threshold(v, cfg.block_side, step_weight).estimate, None
+    u, _, state = denoise._tv_bregman_estimate(np.asarray(v, dtype=float), 1.0 / step_weight,
+                                               cfg.tv_inner_iters, tv_state)
+    return u, state
 
 
 def baseline_solve(a, y, mask, cfg, variant):
@@ -132,7 +124,7 @@ def baseline_solve(a, y, mask, cfg, variant):
     _check_variant(variant)
     if variant == "group" and a.side % cfg.block_side != 0:
         raise DimensionError(f"block side {cfg.block_side} does not divide grid side {a.side}")
-    y = linops.mask_apply(mask, y)
+    y = linops.masked_measurements(mask, y)
     op = linops.MeasurementOperator(a, mask)
     lip = estimate_lipschitz(op, cfg)
     if lip == 0.0:
@@ -144,9 +136,10 @@ def baseline_solve(a, y, mask, cfg, variant):
     xa_prev, xb_prev = xa, xb
     za, zb = xa, xb
     t_k = 1.0
-    # each TV prox starts where the previous one ended (inexact proximal
-    # gradient with shrinking prox errors; lam, and so mu, stays fixed)
-    tv_state = denoise.TvState() if variant == "tv" else None
+    # each TV prox starts where the previous one ended, the first one cold
+    # (inexact proximal gradient with shrinking prox errors; lam, and so mu,
+    # stays fixed)
+    tv_state = None
     # rx is the residual of the accepted state (xa, xb); its norm goes
     # into each trace record without another forward product
     fx, rx = objective_eval(xa, xb, op, y, cfg, variant)
@@ -158,7 +151,7 @@ def baseline_solve(a, y, mask, cfg, variant):
         tic = time.perf_counter()
         grad = -cfg.rho * op.adjoint(y - op.forward(za + zb))
         cand_a = denoise.soft_threshold(za - grad / lip, cfg.lambda1 / lip)
-        cand_b = _prox_b(zb - grad / lip, cfg.lambda2 / lip, cfg, variant, tv_state)
+        cand_b, tv_state = _prox_b(zb - grad / lip, cfg.lambda2 / lip, cfg, variant, tv_state)
         f_cand, r_cand = objective_eval(cand_a, cand_b, op, y, cfg, variant)
 
         restarted = t_k == 1.0 and it > 1

@@ -221,6 +221,18 @@ def build_problem(p):
     return a, mask, xa_true, xb_true, y
 
 
+def _check_truth(p, xa_true, xb_true):
+    """Reject a ground truth with an all-zero component: its PSNR is undefined."""
+    if not xa_true.any():
+        raise MixAmpError(f"ground-truth component a is all zeros: sparsity {p['sparsity']} "
+                          f"at side {p['side']} rounds to 0 impulses")
+    if not xb_true.any():
+        cause = (f"active_fraction {p['active_fraction']} at side {p['side']}, block "
+                 f"{p['block']} rounds to 0 active tiles" if p["case"] == "group"
+                 else f"image {p['image']} is all black")
+        raise MixAmpError(f"ground-truth component b is all zeros: {cause}")
+
+
 def _mixamp_config(p):
     spec_a = denoise.DenoiserSpec(kind="soft", tau=p["tau_a"])
     if p["case"] == "group":
@@ -245,9 +257,10 @@ def _baseline_config(p):
 def run_separation(p, out_dir):
     """Execute one experiment; returns (exit_code, metric rows)."""
     _validate_params(p)
+    a, mask, xa_true, xb_true, y = build_problem(p)
+    _check_truth(p, xa_true, xb_true)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    a, mask, xa_true, xb_true, y = build_problem(p)
     solvers = ("mixamp", "baseline") if p["solver"] == "both" else (p["solver"],)
     suffix = (lambda name: f"_{name}") if len(solvers) > 1 else (lambda name: "")
 

@@ -8,7 +8,6 @@ import numpy as np
 from .exceptions import DimensionError, DomainError, ImageFormatError
 
 PHANTOM_KINDS = ("shot_noise", "group_sparse")
-AMPLITUDE_LAWS = ("pm1", "uniform", "constant")
 
 METRICS_COLUMNS = (
     "experiment",
@@ -30,7 +29,6 @@ class PhantomSpec:
     sparsity: float = 0.05
     block_side: int = 4
     active_fraction: float = 0.25
-    amplitude: str = "pm1"
     seed: int = 0
 
     def __post_init__(self):
@@ -42,20 +40,10 @@ class PhantomSpec:
             raise DomainError(f"sparsity must lie in (0, 1], got {self.sparsity}")
         if self.kind == "group_sparse" and not 0.0 <= self.active_fraction <= 1.0:
             raise DomainError(f"active_fraction must lie in [0, 1], got {self.active_fraction}")
-        if self.amplitude not in AMPLITUDE_LAWS:
-            raise DomainError(f"unknown amplitude law {self.amplitude!r}")
-
-
-def _amplitudes(rng, count, law):
-    if law == "pm1":
-        return rng.choice((-1.0, 1.0), size=count)
-    if law == "uniform":
-        return rng.uniform(0.5, 1.5, size=count) * rng.choice((-1.0, 1.0), size=count)
-    return np.ones(count)
 
 
 def gen_shot_noise(spec, forbidden=None):
-    """Sparse impulses: exactly round(sparsity * N) nonzeros, uniform positions.
+    """Sparse +-1 impulses: exactly round(sparsity * N) nonzeros, uniform positions.
 
     ``forbidden`` optionally excludes a boolean region (used by the
     disjoint-support mixture mode).
@@ -75,7 +63,7 @@ def gen_shot_noise(spec, forbidden=None):
     if k > candidates.size:
         raise DomainError("not enough admissible positions for the requested sparsity")
     pos = rng.choice(candidates, size=k, replace=False)
-    out[pos] = _amplitudes(rng, k, spec.amplitude)
+    out[pos] = rng.choice((-1.0, 1.0), size=k)
     return out.reshape(spec.side, spec.side)
 
 

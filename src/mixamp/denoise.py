@@ -10,7 +10,7 @@ correction term of the message-passing solver.
 
 import functools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,12 @@ DENOISER_KINDS = ("soft", "block_soft", "tv_bregman")
 # Below this threshold the TV shrinkage weight 1/thr overflows any useful
 # range; the denoiser degenerates to the identity map.
 _TV_IDENTITY_THR = 1e-12
+# Fixed split-Bregman settings: the penalty mu = _TV_MU_PER_LAM * lam, the
+# red-black Gauss-Seidel sweeps per inner iteration, and the step of the
+# Monte-Carlo divergence probe.
+_TV_MU_PER_LAM = 2.0
+_TV_SWEEPS = 2
+_TV_PROBE_EPS = 1e-3
 
 
 def _check_count(name, value, minimum=1):
@@ -34,20 +40,14 @@ class DenoiserSpec:
     """Configuration of one denoiser.
 
     tau scales the threshold derived from the solver's noise estimate
-    theta: the denoiser receives tau * sqrt(theta). The tv_* fields
-    configure the split-Bregman inner iteration; mc_* fields configure the
-    Monte-Carlo divergence probe used for the non-separable TV denoiser.
+    theta: the denoiser receives tau * sqrt(theta). tv_inner_iters caps
+    the split-Bregman inner iterations of one TV solve.
     """
 
     kind: str
     block_side: int = 0
     tv_inner_iters: int = 20
-    tv_mu: float | None = None
-    tv_sweeps: int = 2
     tau: float = 1.0
-    mc_probes: int = 1
-    mc_eps: float = 1e-3
-    mc_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in DENOISER_KINDS:
@@ -56,29 +56,23 @@ class DenoiserSpec:
         if self.kind == "block_soft" and self.block_side < 1:
             raise DimensionError("block_soft requires block_side >= 1")
         _check_count("tv_inner_iters", self.tv_inner_iters)
-        if self.tv_mu is not None and not self.tv_mu > 0:
-            raise DomainError("tv_mu must be positive")
-        _check_count("tv_sweeps", self.tv_sweeps)
         if not self.tau > 0:
             raise DomainError("tau must be positive")
-        _check_count("mc_probes", self.mc_probes)
-        if not self.mc_eps > 0:
-            raise DomainError("mc_eps must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TvState:
     """Split-Bregman state that one TV solve hands on to the next.
 
     p is the flat zero-padded iterate buffer of _tv_layout, d and b the
     stacked split and Bregman variables, and mu the penalty they were formed
-    with. An empty TvState() asks for a cold start.
+    with. No solve writes into the arrays of a state.
     """
 
-    p: np.ndarray | None = None
-    d: np.ndarray | None = None
-    b: np.ndarray | None = None
-    mu: float | None = None
+    p: np.ndarray
+    d: np.ndarray
+    b: np.ndarray
+    mu: float
 
 
 @dataclass(frozen=True)
@@ -203,17 +197,17 @@ def _tv_layout(side):
     return w, deg, edge
 
 
-def _tv_bregman_estimate(x, lam, spec, state=None):
-    """Split-Bregman minimization of tv_objective; returns (u, converged).
+def _tv_bregman_estimate(x, lam, iters, state=None):
+    """Split-Bregman minimization of tv_objective; returns (u, converged, state).
 
-    Works on the flat layout of _tv_layout; see tv_denoise_bregman. A
-    non-empty ``state`` is the start point: its arrays are read, never
-    written, and b is rescaled by mu_old / mu. Without one, or with an
-    empty one, the solve starts cold from u = x, d = Du, b = 0. A given
-    ``state`` receives the final (p, d, b, mu).
+    Works on the flat layout of _tv_layout; see tv_denoise_bregman. It runs
+    at most ``iters`` inner iterations from ``state``, with b rescaled by
+    mu_old / mu; no state means the cold start u = x, d = Du, b = 0. The
+    function is pure: it writes into none of its inputs, and the returned
+    TvState (p, d, b, mu) holds arrays of its own.
     """
     side = x.shape[0]
-    mu = spec.tv_mu if spec.tv_mu is not None else 2.0 * lam
+    mu = _TV_MU_PER_LAM * lam
     shrink = 1.0 / mu
     w, deg, edge = _tv_layout(side)
     lo, hi = w + 1, side * w + side + 1  # first and one past the last grid entry
@@ -226,12 +220,6 @@ def _tv_bregman_estimate(x, lam, spec, state=None):
     p = np.zeros(deg.size)
     view(p)[...] = x
     lam_x = lam * p[lo:hi]
-    warm = state is not None and state.p is not None
-    if warm:
-        p = state.p.copy()
-    u = view(p)
-    denom = lam + mu * deg  # inf on the pads, which therefore stay zero
-    colors = [(s, denom[s:hi:2].copy()) for s in (lo, lo + 1)]
 
     def gradient(out):
         np.subtract(p[lo + 1:hi + 1], p[lo:hi], out=out[0, lo:hi])
@@ -239,14 +227,15 @@ def _tv_bregman_estimate(x, lam, spec, state=None):
         out *= edge
 
     g = np.zeros((2, deg.size))
-    if warm:
-        # b is the scaled dual variable (dual / mu), so it moves with mu
-        d = state.d.copy()
-        b = state.b * (state.mu / mu)
-    else:
+    if state is None:
         gradient(g)
-        d = g.copy()  # split variables d ~ Du, stacked (horizontal, vertical)
-        b = np.zeros_like(d)
+        state = TvState(p=p, d=g, b=np.zeros_like(g), mu=mu)
+    p = state.p.copy()
+    d = state.d.copy()  # split variables d ~ Du, stacked (horizontal, vertical)
+    b = state.b * (state.mu / mu)  # b is the scaled dual (dual / mu), so it moves with mu
+    u = view(p)
+    denom = lam + mu * deg  # inf on the pads, which therefore stay zero
+    colors = [(s, denom[s:hi:2].copy()) for s in (lo, lo + 1)]
     t = np.empty_like(d)
     # (side, side - 1) and (side - 1, side) views: the split residual is
     # formed as a contiguous grid array, so its sum keeps the reduction order
@@ -255,14 +244,14 @@ def _tv_bregman_estimate(x, lam, spec, state=None):
     rhs = np.empty(hi - lo)
     u_prev = u.copy()
     progress = np.inf
-    for _ in range(spec.tv_inner_iters):
+    for _ in range(iters):
         # rhs = lam x + mu D^T (d - b)
         np.subtract(d, b, out=t)
         np.subtract(t[0, lo - 1:hi - 1], t[0, lo:hi], out=rhs)
         rhs += t[1, lo - w:hi - w] - t[1, lo:hi]
         rhs *= mu
         rhs += lam_x
-        for _ in range(spec.tv_sweeps):
+        for _ in range(_TV_SWEEPS):
             # red-black Gauss-Seidel on (lam I + mu L) u = rhs; the four
             # neighbours of an entry have the other flat parity
             for s, den in colors:
@@ -286,18 +275,16 @@ def _tv_bregman_estimate(x, lam, spec, state=None):
         u_prev = u_now
         if progress <= 1e-12:
             break
-    if state is not None:
-        state.p, state.d, state.b, state.mu = p, d, b, mu
-    return u_prev, progress <= 1e-4
+    return u_prev, progress <= 1e-4, TvState(p=p, d=d, b=b, mu=mu)
 
 
-def tv_denoise_bregman(x, lam, spec, state=None):
+def tv_denoise_bregman(x, lam, spec, state=None, probe_seed=0):
     """Approximate argmin of ||u||_TV + (lam/2)||u - x||_F^2.
 
     Split Bregman (Goldstein & Osher 2009): anisotropic shrinkage on split
     difference variables d ~ Du, with the quadratic subproblem
-    (lam I + mu L) u = rhs relaxed by spec.tv_sweeps red-black Gauss-Seidel
-    sweeps per inner iteration.
+    (lam I + mu L) u = rhs relaxed by two red-black Gauss-Seidel sweeps per
+    inner iteration. The penalty is fixed at mu = 2 lam.
 
     The iteration runs on one flat, zero-padded buffer. Grid row i is
     stored at padded row i + 1 behind one zero pad column, and the row
@@ -317,14 +304,15 @@ def tv_denoise_bregman(x, lam, spec, state=None):
     side, typically the previous outer iteration of a solver. The inner
     iteration then starts from its (p, d, b) instead of u = x, d = Du,
     b = 0, with b rescaled by mu_old / mu because mu = 2 lam follows lam.
-    A few warm inner iterations then do the work of many cold ones. The
-    state is not modified; the output carries the state this solve ended
-    in as tv_state. Without a state the solve is cold.
+    A few warm inner iterations then do the work of many cold ones.
+    Without a state the solve is cold. Nothing is written into ``x`` or
+    ``state``; the output carries the state this solve ended in as
+    tv_state.
 
-    A run that is still moving after tv_inner_iters returns its last
+    A run that is still moving after spec.tv_inner_iters returns its last
     iterate with tv_converged=False rather than raising. The divergence is
-    estimated by a Rademacher probe (mc_divergence) seeded from
-    spec.mc_seed; each probe solve starts from the same state as the
+    estimated by one Rademacher probe (mc_divergence) of step 1e-3 drawn
+    from ``probe_seed``; the probe solve starts from the same state as the
     estimate, so the probe is a finite difference of one map.
     """
     if lam <= 0:
@@ -335,17 +323,10 @@ def tv_denoise_bregman(x, lam, spec, state=None):
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 2:
         raise DimensionError(f"expected a square grid with side >= 2, got shape {x.shape}")
 
-    start = TvState() if state is None else state
-    end = replace(start)  # the kernel rebinds the fields of its own copy
-    u, converged = _tv_bregman_estimate(x, lam, spec, end)
-    div = mc_divergence(
-        lambda v: _tv_bregman_estimate(v, lam, spec, replace(start))[0],
-        x,
-        probe_seed=spec.mc_seed,
-        eps=spec.mc_eps,
-        n_probes=spec.mc_probes,
-        _precomputed=u,
-    )
+    iters = spec.tv_inner_iters
+    u, converged, end = _tv_bregman_estimate(x, lam, iters, state)
+    div = mc_divergence(lambda v: _tv_bregman_estimate(v, lam, iters, state)[0], x,
+                        probe_seed=probe_seed, eps=_TV_PROBE_EPS, _precomputed=u)
     # prox of a convex function: each diagonal slope lies in [0, 1]
     div = float(min(max(div, 0.0), 1.0))
     return DenoiseOutput(estimate=u, divergence_avg=div, tv_converged=converged, tv_state=end)

@@ -13,6 +13,7 @@ import scipy.fft
 
 from .exceptions import (
     DimensionError,
+    DomainError,
     OracleScaleError,
     UnsupportedSizeError,
 )
@@ -72,16 +73,11 @@ class SamplingMask:
 
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """Square measurement matrix A with its provenance.
-
-    kind is one of {"gaussian", "dct", "identity"}; seed is meaningful for
-    the gaussian kind only.
-    """
+    """Square measurement matrix A; kind is one of {"gaussian", "dct", "identity"}."""
 
     side: int
     entries: np.ndarray
     kind: str
-    seed: int | None = None
 
 
 def gen_gaussian_sensing(side, m, seed):
@@ -101,7 +97,7 @@ def gen_gaussian_sensing(side, m, seed):
         raise DimensionError(f"m must satisfy 1 <= m <= side^2, got m={m}, side={side}")
     rng = np.random.default_rng(seed)
     entries = rng.normal(0.0, 1.0 / np.sqrt(m), size=(side, side))
-    return SensingMatrix(side=side, entries=entries, kind="gaussian", seed=int(seed))
+    return SensingMatrix(side=side, entries=entries, kind="gaussian")
 
 
 def dct_sensing(side):
@@ -144,6 +140,15 @@ def mask_apply(mask, z):
     """Null every entry of z outside Omega; idempotent."""
     z = _check_grid(z, side=mask.side, name="z")
     return np.where(mask.grid, z, 0.0)
+
+
+def masked_measurements(mask, y):
+    """Y restricted to Omega for a solver; a NaN or inf sampled entry is a DomainError."""
+    y = mask_apply(mask, y)
+    if not np.isfinite(y).all():
+        k, l = np.argwhere(~np.isfinite(y))[0]
+        raise DomainError(f"sampled measurement Y[{k}, {l}] is {y[k, l]}; it must be finite")
+    return y
 
 
 def _zero_unsampled(y, mask):

@@ -16,7 +16,7 @@ below the configured tolerance.
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class MixAmpConfig:
     tol: float = 5e-4
     damping: float = 1.0
     onsager: bool = True
-    mc_seed: int = 0
 
     def __post_init__(self):
         denoise._check_count("max_iters", self.max_iters)
@@ -112,13 +111,14 @@ def mixamp_init(y, mask):
     return MixAmpState(xa=zero.copy(), xb=zero.copy(), r=y.copy(), theta=theta, t=0)
 
 
-def apply_denoiser(spec, x, theta, probe_seed=None, tv_state=None):
+def apply_denoiser(spec, x, theta, probe_seed=0, tv_state=None):
     """Evaluate a configured denoiser at threshold scale derived from theta.
 
     The block denoiser compares thresholds against per-block Frobenius
     norms, whose noise floor is sqrt(B * theta) rather than sqrt(theta),
     so its threshold carries an extra sqrt(B) = block_side factor.
-    tv_state is the TV solve state to start from (tv_bregman only).
+    probe_seed seeds the divergence probe and tv_state is the TV solve
+    state to start from (tv_bregman only).
     """
     thr = denoise.threshold_from_theta(theta, spec.tau)
     if spec.kind == "soft":
@@ -132,9 +132,7 @@ def apply_denoiser(spec, x, theta, probe_seed=None, tv_state=None):
     # threshold means no denoising at all, and leaves no state to carry on
     if thr < denoise._TV_IDENTITY_THR:
         return denoise.DenoiseOutput(estimate=np.asarray(x, dtype=float).copy(), divergence_avg=1.0)
-    if probe_seed is not None:
-        spec = replace(spec, mc_seed=probe_seed)
-    return denoise.tv_denoise_bregman(x, 1.0 / thr, spec, tv_state)
+    return denoise.tv_denoise_bregman(x, 1.0 / thr, spec, tv_state, probe_seed)
 
 
 def mixamp_step(state, op, y, cfg):
@@ -149,7 +147,7 @@ def mixamp_step(state, op, y, cfg):
         raise DegenerateProblemError("state, measurements and operator sides must agree")
     n = side * side
     m = op.mask.m
-    probe_seed = cfg.mc_seed + 2 * state.t
+    probe_seed = 2 * state.t  # component a probes with 2t, component b with 2t + 1
 
     # overflow here is how divergence manifests; it is detected below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,10 +215,11 @@ def normalize_problem(a, y, mask):
 def mixamp_run(a, y, mask, cfg):
     """Iterate mixamp_step until the stopping rule or max_iters.
 
-    Returns (xa, xb, trace). On numerical divergence raises
+    Returns (xa, xb, trace). A non-finite sampled measurement raises
+    DomainError before the first iteration; numerical divergence raises
     SolverDivergenceError with the partial trace attached.
     """
-    y, scale = normalize_problem(a, linops.mask_apply(mask, y), mask)
+    y, scale = normalize_problem(a, linops.masked_measurements(mask, y), mask)
     op = linops.MeasurementOperator(a, mask, scale)
 
     state = mixamp_init(y, mask)

@@ -113,15 +113,16 @@ def _ref_dv_t(v):
     return out
 
 
-def tv_bregman_reference(x, lam, spec):
+def tv_bregman_reference(x, lam, iters):
     """Split-Bregman TV denoising on the plain 2D grid; returns (u, converged).
 
-    The straightforward implementation with boolean colour masks, which the
-    flat padded kernel denoise._tv_bregman_estimate must reproduce bit for
-    bit: same estimate, same convergence flag, same early exit.
+    The straightforward implementation with boolean colour masks, mu = 2 lam
+    and two sweeps, which the flat padded kernel denoise._tv_bregman_estimate
+    must reproduce bit for bit: same estimate, same convergence flag, same
+    early exit.
     """
     side = x.shape[0]
-    mu = spec.tv_mu if spec.tv_mu is not None else 2.0 * lam
+    mu = 2.0 * lam
     deg = np.zeros((side, side))
     deg[:, :-1] += 1.0
     deg[:, 1:] += 1.0
@@ -136,10 +137,10 @@ def tv_bregman_reference(x, lam, spec):
     bh = np.zeros_like(dxh)
     bv = np.zeros_like(dxv)
     progress = np.inf
-    for _ in range(spec.tv_inner_iters):
+    for _ in range(iters):
         u_prev = u.copy()
         rhs = lam * x + mu * (_ref_dh_t(dxh - bh) + _ref_dv_t(dxv - bv))
-        for _ in range(spec.tv_sweeps):
+        for _ in range(2):
             # red-black Gauss-Seidel on (lam I + mu L) u = rhs
             for color in colors:
                 nb = np.zeros_like(u)

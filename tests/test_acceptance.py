@@ -222,12 +222,18 @@ def test_criterion_7_tv_recovery(tmp_path):
         params = dict(BASE_PARAMS, case="tv", sampling=0.5, sparsity=0.10,
                       seed=seed, image=str(image), tau_a=2.0, tau_b=1.0,
                       lambda1=2.0, lambda2=1.4)
-        out = tmp_path / f"tv{seed}"
-        code, rows = cli.run_separation(params, out)
-        assert code == 0
-        row = {r["solver"]: r for r in rows}
+        # three rounds, each timing mixamp and then the baseline back to
+        # back, so a burst of load on the host reaches both; the ratio is
+        # of each solver's best time, as in criterion 9
+        best = {"mixamp": float("inf"), "baseline": float("inf")}
+        for round_ in range(3):
+            code, rows = cli.run_separation(params, tmp_path / f"tv{seed}_{round_}")
+            assert code == 0
+            row = {r["solver"]: r for r in rows}
+            for name in best:
+                best[name] = min(best[name], float(row[name]["wall_ms"]))
         diffs.append(float(row["mixamp"]["psnr_b_db"]) - float(row["baseline"]["psnr_b_db"]))
-        ratios.append(float(row["mixamp"]["wall_ms"]) / float(row["baseline"]["wall_ms"]))
+        ratios.append(best["mixamp"] / best["baseline"])
     elapsed = time.perf_counter() - start
     ok = (all(d >= -3.0 for d in diffs) and all(r <= 0.75 for r in ratios)
           and elapsed < 300.0)

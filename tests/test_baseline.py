@@ -222,10 +222,10 @@ class TestBaselineSolve:
         calls = []
         kernel = denoise._tv_bregman_estimate
 
-        def spy(x, lam, spec, state=None):
-            start = None if state.p is None else (state.p.copy(), state.mu)
-            result = kernel(x, lam, spec, state)
-            calls.append((start, state.p.copy(), state.mu))
+        def spy(x, lam, iters, state=None):
+            start = None if state is None else (state.p.copy(), state.mu)
+            result = kernel(x, lam, iters, state)
+            calls.append((start, result[2].p.copy(), result[2].mu))
             return result
 
         monkeypatch.setattr(denoise, "_tv_bregman_estimate", spy)

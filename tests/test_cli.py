@@ -70,6 +70,29 @@ class TestSeparate:
         ) == 2
         assert "block must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, component", [
+        (["--side", "4", "--block", "2", "--sparsity", "0.01"], "component a"),
+        (["--side", "2", "--block", "2"], "component a"),
+        (["--side", "8", "--block", "4", "--active-fraction", "0.1"], "component b"),
+    ], ids=["side4-sparsity", "side2", "active-fraction"])
+    def test_all_zero_truth_exit_2_before_any_output(self, tmp_path, capsys, argv, component):
+        out = tmp_path / "empty"
+        assert run_cli("separate", *argv, "--solver", "both", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"ground-truth {component} is all zeros" in err and "rounds to 0" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_tv_both_solvers_byte_identical(self, tmp_path):
+        # no TV solve state leaks from one run into the next
+        dirs = [tmp_path / "t1", tmp_path / "t2"]
+        for out in dirs:
+            assert run_cli("separate", "--case", "tv", "--side", "16", "--solver", "both",
+                           "--no-timing", "--out", str(out)) == 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir()) and len(names) == 8
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
     def test_divergent_run_exit_1_with_partial_outputs(self, tmp_path):
         out = tmp_path / "div"
         code = run_cli(

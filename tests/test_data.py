@@ -31,13 +31,6 @@ class TestShotNoise:
         values = x[x != 0]
         assert set(np.unique(values)) <= {-1.0, 1.0}
 
-    def test_uniform_amplitudes(self):
-        spec = data.PhantomSpec(kind="shot_noise", side=32, sparsity=0.1, seed=1,
-                                amplitude="uniform")
-        values = np.abs(data.gen_shot_noise(spec))
-        values = values[values != 0]
-        assert values.min() >= 0.5 and values.max() <= 1.5
-
     def test_sparsity_out_of_range(self):
         with pytest.raises(DomainError):
             data.PhantomSpec(kind="shot_noise", side=16, sparsity=1.5)

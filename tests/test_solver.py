@@ -316,9 +316,11 @@ class TestTvStateCarry:
     def test_denoising_starts_from_the_carried_state(self):
         op, y, cfg, s1 = self.setup(damping=1.0)
         thr = denoise.threshold_from_theta(s1.theta, self.TV.tau)
-        spec = dataclasses.replace(self.TV, mc_seed=cfg.mc_seed + 2 * s1.t + 1)
-        expected = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, spec, s1.tv_b)
-        cold = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, spec)
+        seed = 2 * s1.t + 1
+        expected = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, self.TV, s1.tv_b,
+                                              probe_seed=seed)
+        cold = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, self.TV,
+                                          probe_seed=seed)
         s2 = solver.mixamp_step(s1, op, y, cfg)
         assert np.array_equal(s2.xb, expected.estimate)
         assert not np.array_equal(s2.xb, cold.estimate)
@@ -328,6 +330,41 @@ class TestTvStateCarry:
         state = denoise.tv_denoise_bregman(x, 1.0, self.TV).tv_state
         out = solver.apply_denoiser(self.TV, x, 0.0, tv_state=state)
         assert np.array_equal(out.estimate, x) and out.tv_state is None
+
+
+class TestNonFiniteMeasurement:
+    """A NaN or inf in a sampled entry of Y stops both solvers before their first iteration."""
+
+    CFG = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=BLOCK4, damping=0.3)
+    BASE = baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, max_iters=50)
+
+    def run(self, name, a, y, mask):
+        if name == "mixamp":
+            return solver.mixamp_run(a, y, mask, self.CFG)
+        return baseline.baseline_solve(a, y, mask, self.BASE, "group")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["mixamp", "baseline"])
+    def test_sampled_entry_is_a_domain_error(self, name, value, monkeypatch):
+        a, mask, _, _, y = small_problem(seed=2)
+        k, l = mask.indices[5]
+        y[k, l] = value
+        products = []
+        forward = linops.forward
+        monkeypatch.setattr(linops, "forward", lambda *args: products.append(1) or forward(*args))
+        with pytest.raises(DomainError, match=rf"Y\[{k}, {l}\]"):
+            self.run(name, a, y, mask)
+        assert not products  # raised before the first iteration
+
+    @pytest.mark.parametrize("name", ["mixamp", "baseline"])
+    def test_unsampled_entry_is_ignored(self, name):
+        a, mask, _, _, y = small_problem(seed=2)
+        clean = self.run(name, a, y, mask)
+        k, l = np.argwhere(~mask.grid)[0]
+        y[k, l] = np.nan
+        poisoned = self.run(name, a, y, mask)
+        assert np.array_equal(clean[0], poisoned[0]) and np.array_equal(clean[1], poisoned[1])
+        assert len(clean[2]) == len(poisoned[2])
 
 
 class TestNormalizeProblem:
@@ -374,20 +411,16 @@ class TestConfigRejectsNaN:
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, max_iters=True),
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_inner_iters=2.5),
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_inner_iters=0),
-        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_sweeps=float("nan")),
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, block_side=0),
         lambda: denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=float("nan")),
-        lambda: denoise.DenoiserSpec(kind="tv_bregman", tv_sweeps=1.5),
-        lambda: denoise.DenoiserSpec(kind="tv_bregman", mc_probes=True),
         lambda: denoise.DenoiserSpec(kind="block_soft", block_side=4.0),
         lambda: denoise.DenoiserSpec(kind="block_soft", block_side=float("nan")),
     ], ids=["DenoiserSpec.tau", "MixAmpConfig.tol", "BaselineConfig.rho", "BaselineConfig.lambda1",
             "MixAmpConfig.max_iters-nan", "MixAmpConfig.max_iters-float",
             "BaselineConfig.max_iters-nan", "BaselineConfig.max_iters-bool",
             "BaselineConfig.tv_inner_iters-float", "BaselineConfig.tv_inner_iters-zero",
-            "BaselineConfig.tv_sweeps-nan", "BaselineConfig.block_side-zero",
-            "DenoiserSpec.tv_inner_iters-nan", "DenoiserSpec.tv_sweeps-float",
-            "DenoiserSpec.mc_probes-bool", "DenoiserSpec.block_side-float",
+            "BaselineConfig.block_side-zero", "DenoiserSpec.tv_inner_iters-nan",
+            "DenoiserSpec.block_side-float",
             "DenoiserSpec.block_side-nan"])
     def test_nan_is_a_domain_error(self, build):
         with pytest.raises(DomainError):
