@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoise, linops
-from .exceptions import DimensionError, DomainError, SolverError
+from .exceptions import DomainError, SolverError
 from .solver import IterationTrace, TraceRecord, stopping_tol
 
 BASELINE_VARIANTS = ("group", "tv")
@@ -122,8 +122,8 @@ def _prox_b(v, step_weight, cfg, variant, tv_state=None):
 def baseline_solve(a, y, mask, cfg, variant):
     """Monotone accelerated proximal gradient; returns (xa, xb, trace)."""
     _check_variant(variant)
-    if variant == "group" and a.side % cfg.block_side != 0:
-        raise DimensionError(f"block side {cfg.block_side} does not divide grid side {a.side}")
+    if variant == "group":
+        denoise._check_block_side(a.side, cfg.block_side)
     y = linops.masked_measurements(mask, y)
     op = linops.MeasurementOperator(a, mask)
     lip = estimate_lipschitz(op, cfg)

@@ -3,7 +3,8 @@
 Subcommands:
   separate   run one separation experiment, write images + traces + metrics
   sweep      repeat `separate` over sampling rates x seeds, aggregate a CSV
-  selfcheck  run the micro-scale oracle suite, print PASS/FAIL per check
+  selfcheck  run each check of mixamp.checks on a few instances, print
+             PASS/FAIL with the worst violation against its bound
 
 Exit codes: 0 success, 1 numerical/solver failure, 2 usage error.
 """
@@ -18,9 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import baseline, data, denoise, linops, solver
+from . import baseline, checks, data, denoise, linops, solver
 from .exceptions import MixAmpError, SolverDivergenceError
 
 # Calibrated front-end defaults per experiment case. The lambda pairs are
@@ -113,8 +112,6 @@ def build_parser():
 
     chk = sub.add_parser("selfcheck", help="run the micro-scale oracle suite")
     chk.add_argument("--list", action="store_true", help="print check names without running")
-    chk.add_argument("--inject-fault", type=str, default=None, metavar="CHECK",
-                     help="corrupt the named check (testing hook)")
     return parser
 
 
@@ -283,13 +280,11 @@ def run_separation(p, out_dir):
         except SolverDivergenceError as err:
             print(f"mixamp: {name} diverged at iteration {err.iteration}", file=sys.stderr)
             if err.trace is not None:
-                err.trace.record_timing = p["record_timing"]
-                err.trace.to_csv(out / f"trace{suffix(name)}.csv")
+                err.trace.to_csv(out / f"trace{suffix(name)}.csv", p["record_timing"])
             code = 1
             continue
         wall_ms = (time.perf_counter() - tic) * 1e3
-        trace.record_timing = p["record_timing"]
-        trace.to_csv(out / f"trace{suffix(name)}.csv")
+        trace.to_csv(out / f"trace{suffix(name)}.csv", p["record_timing"])
         data.save_image_pgm(xa_hat, out / f"xhat_a{suffix(name)}.pgm")
         data.save_image_pgm(xb_hat, out / f"xhat_b{suffix(name)}.pgm")
         rows.append({
@@ -400,155 +395,17 @@ def cmd_sweep(args):
     return code
 
 
-# ---------------------------------------------------------------------------
-# selfcheck
-
-
-def _fault(value, enabled):
-    return value + 1e-3 if enabled else value
-
-
-def _check_kron_equivalence(fault):
-    side = 8
-    rng = np.random.default_rng(0)
-    a = linops.gen_gaussian_sensing(side, 44, seed=1)
-    mask = linops.gen_mask(side, 44, seed=2)
-    x = rng.standard_normal((side, side))
-    y2d = linops.forward(a, x, mask)
-    yvec = linops.kron_forward_oracle(a, x.flatten(order="F"), mask.vec_indices())
-    err = np.abs(_fault(y2d.flatten(order="F"), fault) - yvec).max() / np.abs(yvec).max()
-    return err <= 1e-12, f"rel err {err:.2e}"
-
-
-def _check_adjoint_identity(fault):
-    side = 16
-    rng = np.random.default_rng(3)
-    a = linops.gen_gaussian_sensing(side, 128, seed=4)
-    mask = linops.gen_mask(side, 128, seed=5)
-    x = rng.standard_normal((side, side))
-    r = linops.mask_apply(mask, rng.standard_normal((side, side)))
-    lhs = float((linops.forward(a, x, mask) * r).sum())
-    rhs = float((x * linops.adjoint(a, r)).sum())
-    err = abs(_fault(lhs, fault) - rhs) / max(abs(rhs), 1e-30)
-    return err <= 1e-10, f"rel err {err:.2e}"
-
-
-def _check_soft_prox_grid(fault):
-    worst = 0.0
-    for x in (-1.3, -0.2, 0.45, 2.0):
-        thr = 0.5
-        grid = np.arange(-abs(x) - 1.0, abs(x) + 1.0, 1e-4)
-        vals = np.abs(grid) + (grid - x) ** 2 / (2.0 * thr)
-        worst = max(worst, abs(_fault(denoise.soft_threshold(x, thr), fault) - grid[np.argmin(vals)]))
-    return worst <= 1e-3, f"max err {worst:.2e}"
-
-
-def _check_soft_divergence_fd(fault):
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((8, 8))
-    thr = 0.5
-    x[np.abs(np.abs(x) - thr) < 1e-3] += 2e-3
-    eps = 1e-6
-    fd = ((np.abs(x + eps) > thr).astype(float) + (np.abs(x - eps) > thr).astype(float)) / 2.0
-    err = abs(_fault(denoise.soft_threshold_div(x, thr), fault) - fd.mean())
-    return err <= 1e-6, f"abs err {err:.2e}"
-
-
-def _check_block_divergence_fd(fault):
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((8, 8))
-    thr = 0.8
-    out = denoise.block_soft_threshold(x, 2, thr)
-    eps = 1e-6
-    trace = 0.0
-    flat = x.ravel()
-    for i in range(flat.size):
-        e = np.zeros_like(flat)
-        e[i] = eps
-        up = denoise.block_soft_threshold((flat + e).reshape(8, 8), 2, thr).estimate.ravel()[i]
-        dn = denoise.block_soft_threshold((flat - e).reshape(8, 8), 2, thr).estimate.ravel()[i]
-        trace += (up - dn) / (2 * eps)
-    err = abs(_fault(out.divergence_avg, fault) - trace / flat.size)
-    return err <= 1e-5, f"abs err {err:.2e}"
-
-
-def _check_tv_objective_decrease(fault):
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((16, 16))
-    spec = denoise.DenoiserSpec(kind="tv_bregman")
-    out = denoise.tv_denoise_bregman(x, 1.0, spec)
-    before = denoise.tv_objective(x, x, 1.0)
-    after = denoise.tv_objective(out.estimate, x, 1.0)
-    if fault:
-        after = before + 1.0
-    return after <= before + 1e-12, f"obj {after:.4f} vs input {before:.4f}"
-
-
-def _check_dct_equivalence(fault):
-    side = 32
-    rng = np.random.default_rng(9)
-    a = linops.dct_sensing(side)
-    mask = linops.gen_mask(side, 700, seed=10)
-    x = rng.standard_normal((side, side))
-    r = linops.mask_apply(mask, rng.standard_normal((side, side)))
-    y_fast = linops.dct_fast_forward(x, mask)
-    y_explicit = linops.forward(a, x, mask)
-    err_fwd = np.abs(_fault(y_fast, fault) - y_explicit).max()
-    err_adj = np.abs(linops.dct_fast_adjoint(r) - linops.adjoint(a, r)).max()
-    return max(err_fwd, err_adj) <= 1e-10, f"max err forward {err_fwd:.2e}, adjoint {err_adj:.2e}"
-
-
-def _check_residual_support(fault):
-    side = 16
-    m = 200
-    a = linops.gen_gaussian_sensing(side, m, seed=11)
-    mask = linops.gen_mask(side, m, seed=12)
-    rng = np.random.default_rng(13)
-    y = linops.forward(a, rng.standard_normal((side, side)), mask)
-    cfg = solver.MixAmpConfig(
-        denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
-        denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2),
-        max_iters=10, damping=0.3,
-    )
-    y_run, c = solver.normalize_problem(a, y, mask)
-    op = linops.MeasurementOperator(a, mask, c)
-    state = solver.mixamp_init(y_run, mask)
-    worst_off = 0.0
-    worst_theta = 0.0
-    for _ in range(10):
-        state = solver.mixamp_step(state, op, y_run, cfg)
-        worst_off = max(worst_off, float(np.abs(state.r[~mask.grid]).max()) if (~mask.grid).any() else 0.0)
-        worst_theta = max(worst_theta, abs(state.theta - (state.r ** 2).sum() / mask.m))
-    worst = _fault(max(worst_off, worst_theta), fault)
-    return worst == 0.0 or worst <= 1e-15, f"max violation {worst:.2e}"
-
-
-SELFCHECKS = (
-    ("kron_equivalence", _check_kron_equivalence),
-    ("adjoint_identity", _check_adjoint_identity),
-    ("soft_prox_grid", _check_soft_prox_grid),
-    ("soft_divergence_fd", _check_soft_divergence_fd),
-    ("block_divergence_fd", _check_block_divergence_fd),
-    ("tv_objective_decrease", _check_tv_objective_decrease),
-    ("dct_equivalence", _check_dct_equivalence),
-    ("residual_support", _check_residual_support),
-)
-
-
 def cmd_selfcheck(args):
-    names = [name for name, _ in SELFCHECKS]
     if args.list:
-        for name in names:
+        for name, _, _ in checks.SELFCHECKS:
             print(name)
         return 0
-    if args.inject_fault is not None and args.inject_fault not in names:
-        print(f"mixamp: unknown check {args.inject_fault!r}", file=sys.stderr)
-        return 2
     failures = 0
-    for name, check in SELFCHECKS:
-        ok, detail = check(fault=(args.inject_fault == name))
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
+    for name, check, bound in checks.SELFCHECKS:
+        worst = check()
+        ok = worst <= bound
         failures += 0 if ok else 1
+        print(f"{'PASS' if ok else 'FAIL'} {name} (worst {worst:.2e}, bound {bound:.0e})")
     return 0 if failures == 0 else 1
 
 

@@ -114,10 +114,15 @@ def soft_threshold_div(x, thr):
     return float(np.mean((np.abs(np.asarray(x, dtype=float)) > thr).astype(float)))
 
 
-def _blocks_view(x, block_side):
-    side = x.shape[0]
+def _check_block_side(side, block_side):
+    """Raise DimensionError unless block_side tiles a grid of the given side."""
     if side % block_side != 0:
         raise DimensionError(f"grid side {side} is not divisible by block side {block_side}")
+
+
+def _blocks_view(x, block_side):
+    side = x.shape[0]
+    _check_block_side(side, block_side)
     nb = side // block_side
     # (block-row, block-col, i, j) view of the raster tiling
     return x.reshape(nb, block_side, nb, block_side).transpose(0, 2, 1, 3), nb

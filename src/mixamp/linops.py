@@ -53,10 +53,6 @@ class SamplingMask:
     def m(self):
         return int(self.indices.shape[0])
 
-    def contains(self, k, l):
-        """Membership test for the (k, l) pair, 0-based."""
-        return bool(self.grid[k, l])
-
     @cached_property
     def unsampled(self):
         """Row-major flat indices of the grid entries outside Omega (read-only)."""

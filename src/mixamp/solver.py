@@ -35,7 +35,6 @@ class MixAmpConfig:
     max_iters: int = 500
     tol: float = 5e-4
     damping: float = 1.0
-    onsager: bool = True
 
     def __post_init__(self):
         denoise._check_count("max_iters", self.max_iters)
@@ -77,7 +76,6 @@ class IterationTrace:
     """One record per completed iteration, serializable to CSV."""
 
     records: list = field(default_factory=list)
-    record_timing: bool = True
 
     def append(self, record):
         self.records.append(record)
@@ -89,13 +87,13 @@ class IterationTrace:
     def last(self):
         return self.records[-1] if self.records else None
 
-    def to_csv(self, path):
-        """Write rows t, theta, tol, residual_norm, wall_ms."""
+    def to_csv(self, path, record_timing=True):
+        """Write rows t, theta, tol, residual_norm, wall_ms; wall_ms is 0 without record_timing."""
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(TRACE_COLUMNS)
             for rec in self.records:
-                wall = rec.wall_ms if self.record_timing else 0.0
+                wall = rec.wall_ms if record_timing else 0.0
                 writer.writerow(
                     [rec.t, repr(rec.theta), repr(rec.tol_value), repr(rec.residual_norm), f"{wall:.3f}"]
                 )
@@ -160,9 +158,8 @@ def mixamp_step(state, op, y, cfg):
         xa_new = out_a.estimate if beta == 1.0 else (1.0 - beta) * state.xa + beta * out_a.estimate
         xb_new = out_b.estimate if beta == 1.0 else (1.0 - beta) * state.xb + beta * out_b.estimate
 
-        r_new = y - op.forward(xa_new + xb_new)
-        if cfg.onsager:
-            r_new = r_new + (n / m) * (out_a.divergence_avg + out_b.divergence_avg) * state.r
+        onsager = (n / m) * (out_a.divergence_avg + out_b.divergence_avg)
+        r_new = y - op.forward(xa_new + xb_new) + onsager * state.r
         if beta != 1.0:
             r_new = (1.0 - beta) * state.r + beta * r_new
 
@@ -215,10 +212,14 @@ def normalize_problem(a, y, mask):
 def mixamp_run(a, y, mask, cfg):
     """Iterate mixamp_step until the stopping rule or max_iters.
 
-    Returns (xa, xb, trace). A non-finite sampled measurement raises
-    DomainError before the first iteration; numerical divergence raises
+    Returns (xa, xb, trace). A block side that does not divide the grid
+    side raises DimensionError, and a non-finite sampled measurement
+    DomainError, before any work; numerical divergence raises
     SolverDivergenceError with the partial trace attached.
     """
+    for spec in (cfg.denoiser_a, cfg.denoiser_b):
+        if spec.kind == "block_soft":
+            denoise._check_block_side(a.side, spec.block_side)
     y, scale = normalize_problem(a, linops.masked_measurements(mask, y), mask)
     op = linops.MeasurementOperator(a, mask, scale)
 

@@ -1,20 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately brute force (grid search, coordinate-wise
-finite differences, subgradient descent, dense enumeration) and shares no
-code path with the library functions it checks.
+Everything here is deliberately brute force (numerical minimization,
+subgradient descent, explicit loops) and shares no code path with the
+library functions it checks. The references that `mixamp selfcheck` runs
+as well (grid_prox_abs, fd_divergence and the kink and radius nudges)
+live in mixamp.checks; this module holds the rest: numeric_prox_frobenius,
+tv_norm_loops, subgrad_descent_tv, tv_bregman_reference and the straight_line_*
+recomputations.
 """
 
 import numpy as np
 from scipy.optimize import minimize
-
-
-def grid_prox_abs(x, thr, step=1e-4):
-    """argmin over a grid of |u| + (u - x)^2 / (2 thr)."""
-    lo, hi = -abs(x) - 1.0, abs(x) + 1.0
-    grid = np.arange(lo, hi + step, step)
-    vals = np.abs(grid) + (grid - x) ** 2 / (2.0 * thr)
-    return float(grid[np.argmin(vals)])
 
 
 def numeric_prox_frobenius(block, thr):
@@ -31,20 +27,6 @@ def numeric_prox_frobenius(block, thr):
         if best is None or res.fun < best.fun:
             best = res
     return best.x.reshape(np.asarray(block).shape), float(best.fun)
-
-
-def fd_divergence(eta, x, eps=1e-6):
-    """(1/N) sum_i [eta(x + eps e_i)_i - eta(x - eps e_i)_i] / (2 eps)."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    total = 0.0
-    for i in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[i] = eps
-        up = eta((flat + bump).reshape(x.shape)).ravel()[i]
-        dn = eta((flat - bump).reshape(x.shape)).ravel()[i]
-        total += (up - dn) / (2.0 * eps)
-    return total / flat.size
 
 
 def tv_norm_loops(x):
@@ -204,23 +186,3 @@ def straight_line_psnr(reference, estimate):
         return float("inf")
     return 10.0 * np.log10(peak * peak / mse)
 
-
-def nudge_away_from_soft_kink(x, thr, margin=1e-4):
-    """Shift entries lying within `margin` of the |x| = thr kink."""
-    x = np.array(x, dtype=float)
-    close = np.abs(np.abs(x) - thr) < margin
-    x[close] += 2.0 * margin * np.where(x[close] >= 0, 1.0, -1.0)
-    return x
-
-
-def nudge_block_radii(x, block_side, thr, margin=1e-4):
-    """Rescale blocks whose Frobenius radius is within `margin` of thr."""
-    x = np.array(x, dtype=float)
-    n = x.shape[0]
-    for bi in range(0, n, block_side):
-        for bj in range(0, n, block_side):
-            blk = x[bi:bi + block_side, bj:bj + block_side]
-            r = np.sqrt((blk ** 2).sum())
-            if abs(r - thr) < margin and r > 0:
-                x[bi:bi + block_side, bj:bj + block_side] = blk * (thr + 2 * margin) / r
-    return x

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mixamp import cli, data, denoise, linops, solver
+from mixamp import checks, cli, data, denoise, linops, solver
 
 
 def report(number, ok, detail):
@@ -32,20 +32,17 @@ BASE_PARAMS = {
 def test_criterion_1_model_equivalence():
     # vec(P{A X A^T}) must match the dense Kronecker model on every
     # supported oracle side, 100 random instances each, within 1e-12
+    def instances():
+        for side in (2, 4, 8, 16):
+            for trial in range(100):
+                rng = np.random.default_rng(10_000 * side + trial)
+                m = int(rng.integers(1, side * side + 1))
+                yield (linops.gen_gaussian_sensing(side, m, seed=20_000 * side + trial),
+                       linops.gen_mask(side, m, seed=30_000 * side + trial),
+                       rng.standard_normal((side, side)))
+
     start = time.perf_counter()
-    worst = 0.0
-    for side in (2, 4, 8, 16):
-        n = side * side
-        for trial in range(100):
-            rng = np.random.default_rng(10_000 * side + trial)
-            m = int(rng.integers(1, n + 1))
-            a = linops.gen_gaussian_sensing(side, m, seed=20_000 * side + trial)
-            mask = linops.gen_mask(side, m, seed=30_000 * side + trial)
-            x = rng.standard_normal((side, side))
-            y2d = linops.forward(a, x, mask).flatten(order="F")
-            yvec = linops.kron_forward_oracle(a, x.flatten(order="F"), mask.vec_indices())
-            scale = max(np.abs(yvec).max(), 1e-30)
-            worst = max(worst, float(np.abs(y2d - yvec).max() / scale))
+    worst = checks.kron_equivalence(instances())
     elapsed = time.perf_counter() - start
     report(1, worst <= 1e-12 and elapsed < 10.0,
            f"max rel err {worst:.2e} (<=1e-12), runtime {elapsed:.1f}s (<10s)")
@@ -53,13 +50,9 @@ def test_criterion_1_model_equivalence():
 
 def test_criterion_2_prox_oracles():
     rng = np.random.default_rng(42)
-    worst_scalar = 0.0
+    worst_scalar = checks.soft_prox_grid(
+        (float(rng.uniform(-3, 3)), float(rng.uniform(0.05, 1.5))) for _ in range(700))
     expansive = 0
-    for _ in range(700):
-        x = float(rng.uniform(-3, 3))
-        thr = float(rng.uniform(0.05, 1.5))
-        ours = denoise.soft_threshold(x, thr)
-        worst_scalar = max(worst_scalar, abs(ours - oracles.grid_prox_abs(x, thr)))
     # non-expansiveness on sampled pairs (scalar and block)
     for _ in range(200):
         thr = float(rng.uniform(0.05, 1.5))
@@ -84,18 +77,14 @@ def test_criterion_2_prox_oracles():
 
 def test_criterion_3_divergences():
     rng = np.random.default_rng(7)
-    worst_soft = worst_block = 0.0
-    for _ in range(100):
-        thr = float(rng.uniform(0.2, 1.0))
-        x = oracles.nudge_away_from_soft_kink(rng.standard_normal((8, 8)), thr)
-        fd = oracles.fd_divergence(lambda v: denoise.soft_threshold(v, thr), x)
-        worst_soft = max(worst_soft, abs(denoise.soft_threshold_div(x, thr) - fd))
-    for _ in range(100):
-        thr = float(rng.uniform(0.4, 1.2))
-        x = oracles.nudge_block_radii(rng.standard_normal((8, 8)), 2, thr)
-        out = denoise.block_soft_threshold(x, 2, thr)
-        fd = oracles.fd_divergence(lambda v: denoise.block_soft_threshold(v, 2, thr).estimate, x)
-        worst_block = max(worst_block, abs(out.divergence_avg - fd))
+
+    def instances(thr_lo, thr_hi):
+        for _ in range(100):
+            thr = float(rng.uniform(thr_lo, thr_hi))
+            yield rng.standard_normal((8, 8)), thr
+
+    worst_soft = checks.soft_divergence_fd(instances(0.2, 1.0))
+    worst_block = checks.block_divergence_fd((x, 2, thr) for x, thr in instances(0.4, 1.2))
     # Monte-Carlo probe against the exact soft divergence, 8 probes
     worst_mc = 0.0
     for seed in range(5):
@@ -112,13 +101,8 @@ def test_criterion_3_divergences():
 def test_criterion_4_tv_denoiser():
     rng = np.random.default_rng(11)
     spec = denoise.DenoiserSpec(kind="tv_bregman")
-    increases = 0
-    for _ in range(100):
-        x = rng.standard_normal((16, 16))
-        lam = float(rng.uniform(0.3, 3.0))
-        out = denoise.tv_denoise_bregman(x, lam, spec)
-        if denoise.tv_objective(out.estimate, x, lam) > denoise.tv_objective(x, x, lam) + 1e-12:
-            increases += 1
+    increase = checks.tv_objective_decrease(
+        (rng.standard_normal((16, 16)), float(rng.uniform(0.3, 3.0))) for _ in range(100))
     # local optimality at a well-converged solution
     deep = denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=2000)
     x = rng.standard_normal((16, 16))
@@ -136,8 +120,9 @@ def test_criterion_4_tv_denoiser():
         xc = np.full((12, 12), value)
         const_err = max(const_err, float(np.abs(
             denoise.tv_denoise_bregman(xc, 1.5, spec).estimate - xc).max()))
-    ok = increases == 0 and probe_fails == 0 and const_err == 0.0
-    report(4, ok, f"objective increases {increases}/100, probe failures {probe_fails}/50, "
+    ok = increase <= 1e-12 and probe_fails == 0 and const_err == 0.0
+    report(4, ok, f"largest objective increase {increase:.1e} over 100 inputs (<=1e-12), "
+                  f"probe failures {probe_fails}/50, "
                   f"constant fixed-point err {const_err:.1e}")
 
 
@@ -152,35 +137,12 @@ def test_criterion_5_structural_checks():
         denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.0),
         damping=0.3,
     )
-    y_run, c = solver.normalize_problem(a, y, mask)
-    state = solver.mixamp_init(y_run, mask)
-    off = ~mask.grid
-    support_violation = 0.0
-    theta_violation = 0.0
-    for _ in range(25):
-        state = solver.mixamp_step(state, linops.MeasurementOperator(a, mask, c), y_run, cfg)
-        support_violation = max(support_violation, float(np.abs(state.r[off]).max()))
-        theta_violation = max(
-            theta_violation,
-            abs(state.theta - (state.r ** 2).sum() / mask.m) / max(state.theta, 1e-30),
-        )
+    theta_violation = checks.residual_support(a, mask, y, cfg, iters=25)
     # Onsager ablation at t = 1 (undamped step so the difference is exact)
-    base_cfg = dict(denoiser_a=cfg.denoiser_a, denoiser_b=cfg.denoiser_b, max_iters=5)
-    state0 = solver.mixamp_init(y, mask)
-    op = linops.MeasurementOperator(a, mask)
-    full = solver.mixamp_step(state0, op, y, solver.MixAmpConfig(**base_cfg))
-    bare = solver.mixamp_step(state0, op, y,
-                              solver.MixAmpConfig(**base_cfg, onsager=False))
-    z = linops.adjoint(a, state0.r)
-    thr = denoise.threshold_from_theta(state0.theta, 2.5)
-    da = denoise.soft_threshold_div(z + state0.xa, thr)
-    thr_b = denoise.threshold_from_theta(state0.theta, 1.0) * 4
-    db = denoise.block_soft_threshold(z + state0.xb, 4, thr_b).divergence_avg
-    expected = (side * side / mask.m) * (da + db) * state0.r
-    ablation_err = float(np.abs((full.r - bare.r) - expected).max())
-    ok = support_violation == 0.0 and theta_violation <= 1e-15 and ablation_err <= 1e-12
-    report(5, ok, f"off-mask residual {support_violation:.1e}, theta rel err "
-                  f"{theta_violation:.1e}, ablation residual {ablation_err:.1e} (<=1e-12)")
+    ablation_err = checks.onsager_ablation(a, mask, y, cfg.denoiser_a, cfg.denoiser_b)
+    ok = theta_violation <= 1e-15 and ablation_err <= 1e-12
+    report(5, ok, f"theta rel err {theta_violation:.1e} (<=1e-15; inf if the residual "
+                  f"leaves Omega), ablation residual {ablation_err:.1e} (<=1e-12)")
 
 
 def last_tol_of(trace_path):
@@ -266,13 +228,9 @@ def test_criterion_9_dct_fast_path():
     # side 256 (README, calibration record) and its time ratio to them
     # falls from side 64 to side 256. At side 64 a fast BLAS may win.
     rng = np.random.default_rng(17)
-    worst = 0.0
-    for side in (8, 32, 64, 128, 256):
-        a = linops.dct_sensing(side)
-        mask = linops.gen_mask(side, int(0.6 * side * side), seed=side)
-        x = rng.standard_normal((side, side))
-        worst = max(worst, float(np.abs(
-            linops.dct_fast_forward(x, mask) - linops.forward(a, x, mask)).max()))
+    worst = checks.dct_equivalence(
+        (linops.gen_mask(side, int(0.6 * side * side), seed=side), rng.standard_normal((side, side)))
+        for side in (8, 32, 64, 128, 256))
 
     def interleaved_best_time(fast, explicit, reps, trials=15):
         # each trial times both paths back to back, so a burst of load
@@ -303,7 +261,7 @@ def test_criterion_9_dct_fast_path():
     detail = ", ".join(f"side {side}: fast {fast*1e6:.1f}us vs explicit "
                        f"{explicit*1e6:.1f}us (ratio {ratio[side]:.2f})"
                        for side, (fast, explicit) in times.items())
-    report(9, ok, f"max err {worst:.2e} (<=1e-10) at sides 8-256; {detail} "
+    report(9, ok, f"max err {worst:.2e} (<=1e-10) at sides 8-256, forward and adjoint; {detail} "
                   f"(fast must win at 256, ratio must fall from 64 to 256)")
 
 

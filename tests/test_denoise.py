@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mixamp import baseline, data, denoise
+from mixamp import baseline, checks, data, denoise
 from mixamp.exceptions import DimensionError, DomainError
 
 
@@ -36,12 +36,10 @@ class TestSoftThreshold:
 
     def test_matches_grid_prox(self):
         # eta minimizes |u| + (1/(2 thr)) (u - x)^2
-        assert abs(denoise.soft_threshold(1.0, 0.4) - oracles.grid_prox_abs(1.0, 0.4)) <= 1e-3
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = float(rng.uniform(-3, 3))
-            thr = float(rng.uniform(0.05, 1.5))
-            assert abs(denoise.soft_threshold(x, thr) - oracles.grid_prox_abs(x, thr)) <= 1e-3
+        pairs = [(1.0, 0.4)] + [(float(rng.uniform(-3, 3)), float(rng.uniform(0.05, 1.5)))
+                                for _ in range(50)]
+        assert checks.soft_prox_grid(pairs) <= 1e-3
 
     def test_elementwise_on_grids(self):
         rng = np.random.default_rng(1)
@@ -86,11 +84,8 @@ class TestSoftThresholdDiv:
         assert denoise.soft_threshold_div(x, 0.0) == 1.0
 
     def test_matches_central_difference(self):
-        rng = np.random.default_rng(5)
-        thr = 0.5
-        x = oracles.nudge_away_from_soft_kink(rng.standard_normal((8, 8)), thr)
-        fd = oracles.fd_divergence(lambda v: denoise.soft_threshold(v, thr), x)
-        assert abs(denoise.soft_threshold_div(x, thr) - fd) <= 1e-6
+        x = np.random.default_rng(5).standard_normal((8, 8))
+        assert checks.soft_divergence_fd([(x, 0.5)]) <= 1e-6
 
 
 class TestBlockSoftThreshold:
@@ -129,14 +124,8 @@ class TestBlockSoftThreshold:
             assert np.abs(est - ref).max() <= 1e-4
 
     def test_divergence_matches_fd(self):
-        rng = np.random.default_rng(9)
-        thr = 0.8
-        x = oracles.nudge_block_radii(rng.standard_normal((4, 4)), 2, thr)
-        out = denoise.block_soft_threshold(x, 2, thr)
-        fd = oracles.fd_divergence(
-            lambda v: denoise.block_soft_threshold(v, 2, thr).estimate, x
-        )
-        assert abs(out.divergence_avg - fd) <= 1e-5
+        x = np.random.default_rng(9).standard_normal((4, 4))
+        assert checks.block_divergence_fd([(x, 2, 0.8)]) <= 1e-5
 
     def test_divergence_in_unit_interval(self):
         rng = np.random.default_rng(10)
@@ -204,11 +193,9 @@ class TestTvDenoiseBregman:
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(15)
-        for _ in range(20):
-            x = rng.standard_normal((16, 16))
-            lam = float(rng.uniform(0.3, 3.0))
-            out = denoise.tv_denoise_bregman(x, lam, self.SPEC)
-            assert denoise.tv_objective(out.estimate, x, lam) <= denoise.tv_objective(x, x, lam) + 1e-12
+        instances = ((rng.standard_normal((16, 16)), float(rng.uniform(0.3, 3.0)))
+                     for _ in range(20))
+        assert checks.tv_objective_decrease(instances) <= 1e-12
 
     def test_matches_subgradient_oracle(self):
         # columns-constant input: effectively a 1D problem

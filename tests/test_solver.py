@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mixamp import baseline, data, denoise, linops, solver
-from mixamp.exceptions import DomainError, SolverDivergenceError
+from mixamp import baseline, checks, data, denoise, linops, solver
+from mixamp.exceptions import DimensionError, DomainError, SolverDivergenceError
 
 SOFT = denoise.DenoiserSpec(kind="soft")
 BLOCK4 = denoise.DenoiserSpec(kind="block_soft", block_side=4)
@@ -129,37 +129,13 @@ class TestStep:
             denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2),
             damping=0.3,
         )
-        y_run, c = solver.normalize_problem(a, y, mask)
-        state = solver.mixamp_init(y_run, mask)
-        off = ~mask.grid
-        for _ in range(25):
-            state = solver.mixamp_step(state, linops.MeasurementOperator(a, mask, c), y_run, cfg)
-            assert not state.r[off].any()
-            assert state.theta == pytest.approx((state.r ** 2).sum() / mask.m, rel=1e-15)
+        assert checks.residual_support(a, mask, y, cfg, iters=25) <= 1e-15
 
     def test_onsager_ablation_difference_at_t1(self):
         a, mask, _, _, y = small_problem(seed=2)
-        base = dict(
-            denoiser_a=denoise.DenoiserSpec(kind="soft", tau=2.5),
-            denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2),
-            max_iters=5,
-        )
-        state0 = solver.mixamp_init(y, mask)
-        op = linops.MeasurementOperator(a, mask)
-        full = solver.mixamp_step(state0, op, y, solver.MixAmpConfig(**base))
-        bare = solver.mixamp_step(state0, op, y, solver.MixAmpConfig(**base, onsager=False))
-        # estimates agree; residuals differ by exactly the correction terms
-        assert np.array_equal(full.xa, bare.xa)
-        assert np.array_equal(full.xb, bare.xb)
-        z = linops.adjoint(a, state0.r)
-        thr = denoise.threshold_from_theta(state0.theta, 2.5)
-        da = denoise.soft_threshold_div(z + state0.xa, thr)
-        # block thresholds carry the sqrt(B) factor of the per-block noise norm
-        thr_b = denoise.threshold_from_theta(state0.theta, 1.2) * 4
-        db = denoise.block_soft_threshold(z + state0.xb, 4, thr_b).divergence_avg
-        n, m = a.side * a.side, mask.m
-        expected = (n / m) * (da + db) * state0.r
-        assert np.abs((full.r - bare.r) - expected).max() <= 1e-12
+        assert checks.onsager_ablation(
+            a, mask, y, denoise.DenoiserSpec(kind="soft", tau=2.5),
+            denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2)) <= 1e-12
 
     def test_divergence_raises_with_iteration(self):
         a, mask, _, _, y = small_problem(seed=3)
@@ -251,6 +227,8 @@ class TestRun:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,theta,tol,residual_norm,wall_ms"
         assert len(lines) == len(trace) + 1
+        trace.to_csv(path, record_timing=False)
+        assert all(line.endswith(",0.000") for line in path.read_text().splitlines()[1:])
 
     def test_tv_denoiser_runs(self):
         side = 16
@@ -333,7 +311,8 @@ class TestTvStateCarry:
 
 
 class TestNonFiniteMeasurement:
-    """A NaN or inf in a sampled entry of Y stops both solvers before their first iteration."""
+    """A NaN or inf in a sampled entry of Y, or a block side that does not
+    divide the grid side, stops both solvers before their first iteration."""
 
     CFG = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=BLOCK4, damping=0.3)
     BASE = baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, max_iters=50)
@@ -355,6 +334,13 @@ class TestNonFiniteMeasurement:
         with pytest.raises(DomainError, match=rf"Y\[{k}, {l}\]"):
             self.run(name, a, y, mask)
         assert not products  # raised before the first iteration
+
+    @pytest.mark.parametrize("name", ["mixamp", "baseline"])
+    def test_block_side_not_dividing_is_found_before_any_work(self, name, monkeypatch):
+        a, mask = linops.gen_gaussian_sensing(6, 30, seed=0), linops.gen_mask(6, 30, seed=1)
+        monkeypatch.setattr(linops, "masked_measurements", None)  # the first work of both
+        with pytest.raises(DimensionError, match="^grid side 6 is not divisible by block side 4$"):
+            self.run(name, a, np.zeros((6, 6)), mask)
 
     @pytest.mark.parametrize("name", ["mixamp", "baseline"])
     def test_unsampled_entry_is_ignored(self, name):
