@@ -5,14 +5,18 @@ measured; the caller draws the instances and holds the bound. `mixamp
 selfcheck` runs SELFCHECKS (a few instances each); the acceptance
 criteria and the unit tests call the same functions at their own scale.
 Checks reach the library through its module attributes, so a test can
-patch a library function and see its check fail. The brute-force
-references (grid_prox_abs, fd_divergence) share no code path with the
-functions they check.
+patch a library function and see its check fail. The worst violation is
+taken with np.maximum, which keeps a NaN, so a check that measured NaN
+fails its bound. The brute-force references (grid_prox_abs,
+fd_divergence) share no code path with the functions they check.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from . import denoise, linops, solver
+from .exceptions import DomainError
 
 
 def grid_prox_abs(x, thr, step=1e-4):
@@ -64,88 +68,82 @@ def kron_equivalence(instances):
     for a, mask, x in instances:
         y2d = linops.forward(a, x, mask).flatten(order="F")
         yvec = linops.kron_forward_oracle(a, x.flatten(order="F"), mask.vec_indices())
-        worst = max(worst, float(np.abs(y2d - yvec).max() / max(np.abs(yvec).max(), 1e-30)))
-    return worst
+        worst = np.maximum(worst, np.abs(y2d - yvec).max() / max(np.abs(yvec).max(), 1e-30))
+    return float(worst)
 
 
 def adjoint_identity(instances):
-    """Worst relative gap of <forward(X), R> = <X, adjoint(R)>; yields (a, mask, x, r).
-
-    r is masked here.
-    """
+    """Worst relative gap of <op.forward(X), R> = <X, op.adjoint(R)> over (op, x, r), r masked here."""
     worst = 0.0
-    for a, mask, x, r in instances:
-        r = linops.mask_apply(mask, r)
-        lhs = float((linops.forward(a, x, mask) * r).sum())
-        rhs = float((x * linops.adjoint(a, r)).sum())
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return worst
+    for op, x, r in instances:
+        r = linops.mask_apply(op.mask, r)
+        lhs = float((op.forward(x) * r).sum())
+        rhs = float((x * op.adjoint(r)).sum())
+        worst = np.maximum(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+    return float(worst)
 
 
 def soft_prox_grid(instances):
     """Worst gap of soft_threshold to a grid search for the prox of |.|; yields scalars (x, thr)."""
     worst = 0.0
     for x, thr in instances:
-        worst = max(worst, abs(denoise.soft_threshold(x, thr) - grid_prox_abs(x, thr)))
-    return worst
+        worst = np.maximum(worst, abs(denoise.soft_threshold(x, thr) - grid_prox_abs(x, thr)))
+    return float(worst)
 
 
 def soft_divergence_fd(instances):
-    """Worst gap of soft_threshold_div to finite differences; yields (x, thr).
-
-    Entries near the kink |x| = thr, where there is no derivative, are
-    nudged off it first.
-    """
+    """Worst gap of soft_threshold_div to finite differences over (x, thr), x nudged off the kink."""
     worst = 0.0
     for x, thr in instances:
         x = nudge_away_from_soft_kink(x, thr)
         fd = fd_divergence(lambda v: denoise.soft_threshold(v, thr), x)
-        worst = max(worst, abs(denoise.soft_threshold_div(x, thr) - fd))
-    return worst
+        worst = np.maximum(worst, abs(denoise.soft_threshold_div(x, thr) - fd))
+    return float(worst)
 
 
 def block_divergence_fd(instances):
-    """Worst gap of block_soft_threshold's divergence to finite differences.
-
-    instances yields (x, block_side, thr); blocks whose radius is near thr
-    are rescaled off it first.
-    """
+    """Worst gap of block_soft_threshold's divergence to finite differences over
+    (x, block_side, thr), blocks of radius near thr rescaled off it."""
     worst = 0.0
     for x, block_side, thr in instances:
         x = nudge_block_radii(x, block_side, thr)
         out = denoise.block_soft_threshold(x, block_side, thr)
         fd = fd_divergence(lambda v: denoise.block_soft_threshold(v, block_side, thr).estimate, x)
-        worst = max(worst, abs(out.divergence_avg - fd))
-    return worst
+        worst = np.maximum(worst, abs(out.divergence_avg - fd))
+    return float(worst)
 
 
 def tv_objective_decrease(instances):
-    """Largest rise of the TV objective over its input by a default TV solve, or 0.
-
-    instances yields (x, lam).
-    """
+    """Largest rise of the TV objective by a default TV solve of each (x, lam), or 0."""
     spec = denoise.DenoiserSpec(kind="tv_bregman")
     worst = 0.0
     for x, lam in instances:
         out = denoise.tv_denoise_bregman(x, lam, spec)
         rise = denoise.tv_objective(out.estimate, x, lam) - denoise.tv_objective(x, x, lam)
-        worst = max(worst, rise)
-    return worst
+        worst = np.maximum(worst, rise)
+    return float(worst)
 
 
-def dct_equivalence(instances):
-    """Worst gap of the fast DCT pair to the dense products; yields (mask, x).
+def dct_equivalence(instances, scale=1.0):
+    """Worst gap of the fast DCT operator to the dense products; yields (mask, x).
 
-    The forward map is tried on x and the adjoint on the masked x.
+    The operator is linops.MeasurementOperator(dct_sensing, mask, scale)
+    and the dense products use the matrix scale * dct_sensing. The
+    forward map is tried on x and the adjoint on the masked x. A side
+    the fast form does not take checks nothing and returns inf.
     """
     worst = 0.0
     for mask, x in instances:
         a = linops.dct_sensing(x.shape[0])
+        op = linops.MeasurementOperator(a, mask, scale)
+        if not op.fast:
+            return float("inf")
+        dense = replace(a, entries=scale * a.entries)
         r = linops.mask_apply(mask, x)
-        err_fwd = np.abs(linops.dct_fast_forward(x, mask) - linops.forward(a, x, mask)).max()
-        err_adj = np.abs(linops.dct_fast_adjoint(r) - linops.adjoint(a, r)).max()
-        worst = max(worst, float(err_fwd), float(err_adj))
-    return worst
+        err_fwd = np.abs(op.forward(x) - linops.forward(dense, x, mask)).max()
+        err_adj = np.abs(op.adjoint(r) - linops.adjoint(dense, r)).max()
+        worst = np.maximum(worst, np.maximum(err_fwd, err_adj))
+    return float(worst)
 
 
 def residual_support(a, mask, y, cfg, iters):
@@ -162,8 +160,19 @@ def residual_support(a, mask, y, cfg, iters):
         if state.r[~mask.grid].any():
             return float("inf")
         theta = (state.r ** 2).sum() / mask.m
-        worst = max(worst, abs(state.theta - theta) / max(state.theta, 1e-30))
-    return worst
+        worst = np.maximum(worst, abs(state.theta - theta) / max(state.theta, 1e-30))
+    return float(worst)
+
+
+def _divergence(spec, x, theta):
+    """<eta'> at x of a soft or block_soft denoiser, apart from solver.apply_denoiser."""
+    thr = denoise.threshold_from_theta(theta, spec.tau)
+    if spec.kind == "soft":
+        return denoise.soft_threshold_div(x, thr)
+    if spec.kind != "block_soft":
+        raise DomainError(f"onsager_ablation takes soft and block_soft denoisers, got {spec.kind}")
+    # a block's noise norm is sqrt(B theta), so its threshold carries sqrt(B) = block_side
+    return denoise.block_soft_threshold(x, spec.block_side, thr * spec.block_side).divergence_avg
 
 
 def onsager_ablation(a, mask, y, denoiser_a, denoiser_b):
@@ -171,17 +180,17 @@ def onsager_ablation(a, mask, y, denoiser_a, denoiser_b):
 
     One undamped mixamp_step from mixamp_init on the normalized problem,
     where mixamp_run starts; the correction is its residual less the bare
-    residual Y - P{A (Xa + Xb) A^T}. An instance where both divergences
-    vanish checks nothing and returns inf.
+    residual Y - P{A (Xa + Xb) A^T}. The divergences are recomputed from
+    theta, so a fault in its map to thresholds shows. An instance where
+    both vanish checks nothing and returns inf.
     """
     y, scale = solver.normalize_problem(a, y, mask)
     op = linops.MeasurementOperator(a, mask, scale)
     state = solver.mixamp_init(y, mask)
     new = solver.mixamp_step(state, op, y, solver.MixAmpConfig(denoiser_a, denoiser_b))
     z = op.adjoint(state.r)
-    # probe seeds 0 and 1 are those mixamp_step gives components a and b at t = 0
-    div = (solver.apply_denoiser(denoiser_a, z + state.xa, state.theta, 0).divergence_avg
-           + solver.apply_denoiser(denoiser_b, z + state.xb, state.theta, 1).divergence_avg)
+    div = (_divergence(denoiser_a, z + state.xa, state.theta)
+           + _divergence(denoiser_b, z + state.xb, state.theta))
     if div == 0.0:
         return float("inf")
     bare = y - op.forward(new.xa + new.xb)
@@ -210,7 +219,8 @@ _SPECS = (denoise.DenoiserSpec(kind="soft", tau=1.5),
 SELFCHECKS = (
     ("kron_equivalence", lambda: kron_equivalence([(*_gaussian(8, 44, 1), _normal(0, 8))]), 1e-12),
     ("adjoint_identity",
-     lambda: adjoint_identity([(*_gaussian(16, 128, 4), _normal(3, 16), _normal(5, 16))]), 1e-10),
+     lambda: adjoint_identity([(linops.MeasurementOperator(*_gaussian(16, 128, 4)),
+                                _normal(3, 16), _normal(5, 16))]), 1e-10),
     ("soft_prox_grid", lambda: soft_prox_grid((x, 0.5) for x in (-1.3, -0.2, 0.45, 2.0)), 1e-3),
     ("soft_divergence_fd", lambda: soft_divergence_fd([(_normal(6, 8), 0.5)]), 1e-6),
     ("block_divergence_fd", lambda: block_divergence_fd([(_normal(7, 8), 2, 0.8)]), 1e-5),

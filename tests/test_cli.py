@@ -216,13 +216,13 @@ class TestParsedDefaults:
         }
 
 
-def _off_by_1e3(value):
-    """value + 1e-3, applied to the number a library result carries."""
+def _off_by(value, delta):
+    """value + delta, applied to the number a library result carries."""
     if isinstance(value, denoise.DenoiseOutput):
-        return dataclasses.replace(value, divergence_avg=value.divergence_avg + 1e-3)
+        return dataclasses.replace(value, divergence_avg=value.divergence_avg + delta)
     if isinstance(value, solver.MixAmpState):
-        return dataclasses.replace(value, r=value.r + 1e-3)
-    return value + 1e-3
+        return dataclasses.replace(value, r=value.r + delta)
+    return value + delta
 
 
 class TestSelfcheck:
@@ -246,13 +246,17 @@ class TestSelfcheck:
         (linops, "dct_fast_adjoint", "dct_equivalence"),
         (solver, "mixamp_step", "residual_support"),
         (solver, "mixamp_step", "onsager_ablation"),
+        (solver, "apply_denoiser", "onsager_ablation"),
     ])
     def test_library_fault_fails_its_check(self, capsys, monkeypatch, module, function, check):
         original = getattr(module, function)
-        monkeypatch.setattr(module, function,
-                            lambda *args, **kw: _off_by_1e3(original(*args, **kw)))
-        assert run_cli("selfcheck") == 1
-        assert f"FAIL {check} " in capsys.readouterr().out
+        # a NaN must fail the check too, not drop out of its worst violation
+        for delta in (1e-3, float("nan")):
+            monkeypatch.setattr(module, function,
+                                lambda *args, **kw: _off_by(original(*args, **kw), delta))
+            with np.errstate(invalid="ignore"):
+                assert run_cli("selfcheck") == 1
+            assert f"FAIL {check} " in capsys.readouterr().out
 
     def test_inject_fault_is_an_unknown_argument(self):
         assert run_cli("selfcheck", "--inject-fault", "adjoint_identity") == 2
