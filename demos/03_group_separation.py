@@ -30,7 +30,7 @@ print(f"mixture: {int((xa_true != 0).sum())} impulses + "
 cfg = solver.MixAmpConfig(
     denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
     denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=block, tau=1.0),
-    damping=0.3,   # Gaussian A needs damping; see README
+    damping=0.3,   # floor of the adaptive step; Gaussian A needs it, see README
 )
 tic = time.perf_counter()
 xa_mp, xb_mp, trace = solver.mixamp_run(a, y, mask, cfg)

@@ -24,7 +24,7 @@ from .exceptions import MixAmpError, SolverDivergenceError
 
 # Calibrated front-end defaults per experiment case. The lambda pairs are
 # the reference values used for the corresponding comparison figures; tau
-# and damping were calibrated once at desk scale (see README).
+# and the damping floor were calibrated once at desk scale (see README).
 CASE_DEFAULTS = {
     "group": {"tau_a": 1.5, "tau_b": 1.0, "lambda1": 0.5, "lambda2": 1.2},
     "tv": {"tau_a": 2.0, "tau_b": 1.0, "lambda1": 2.0, "lambda2": 1.4},
@@ -81,7 +81,12 @@ def _add_run_arguments(parser, case, sparsity):
     parser.add_argument("--tau", type=float, default=None, help="threshold scale for both denoisers")
     parser.add_argument("--tau-a", type=float, default=None)
     parser.add_argument("--tau-b", type=float, default=None)
-    parser.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
+    parser.add_argument("--damping", type=float, default=DEFAULT_DAMPING,
+                        help=f"floor of the mixamp step in (0, 1]: each run starts at 1.0 and "
+                             f"multiplies its step by {solver.BACKOFF:g} whenever theta exceeds "
+                             f"{solver.BLOWUP_FACTOR:g}x the theta of the zero estimate, a level "
+                             f"converging runs stay under even when theta jumps far above its "
+                             f"running minimum; a blow-up at the floor exits 1")
     parser.add_argument("--lambda1", type=float, default=None)
     parser.add_argument("--lambda2", type=float, default=None)
     parser.add_argument("--rho", type=float, default=1e4)
@@ -305,6 +310,9 @@ def run_separation(p, out_dir):
             "iters": len(trace),
             "damping": p["damping"],
         }
+        if name == "mixamp":
+            manifest["outputs"][name].update(damping_final=trace.damping_final,
+                                             backoffs=trace.backoffs)
     data.write_metrics_csv(out / "metrics.csv", rows)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

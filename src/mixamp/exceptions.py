@@ -30,7 +30,8 @@ class DegenerateProblemError(MixAmpError, ValueError):
 
 
 class SolverDivergenceError(MixAmpError, RuntimeError):
-    """Non-finite values appeared mid-iteration.
+    """Non-finite values appeared mid-iteration, or theta blew up at the
+    damping floor of a mixamp run.
 
     Carries the iteration index where divergence was detected and, when the
     failing run recorded one, the partial iteration trace.

@@ -12,11 +12,22 @@ noise in the pseudo-data decorrelated across iterations:
 
 Iteration stops when the relative change of the estimate pair drops
 below the configured tolerance.
+
+Each run starts undamped (step 1.0) and backs off when theta blows up:
+a step whose theta is non-finite or exceeds BLOWUP_FACTOR * theta_0 is
+discarded, the run returns to its lowest-theta state so far and
+multiplies its step by BACKOFF, never below the configured damping,
+which is the most damped step a run may fall back to. A blow-up at that
+floor raises SolverDivergenceError. theta_0 = ||Y||_F^2 / M is the
+residual of the zero estimate, so a bound on it means "no worse than
+estimating nothing". A bound on the running minimum of theta would not
+do: near exact recovery theta falls by orders of magnitude and can then
+jump hundreds of times above its minimum in a run that converges.
 """
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,11 +35,23 @@ from . import denoise, linops
 from .exceptions import DegenerateProblemError, DomainError, SolverDivergenceError
 
 TRACE_COLUMNS = ("t", "theta", "tol", "residual_norm", "wall_ms")
+# A step is a blow-up when its theta exceeds this multiple of theta_0.
+BLOWUP_FACTOR = 2.0
+# Factor on the step after each blow-up.
+BACKOFF = 0.7
 
 
 @dataclass
 class MixAmpConfig:
-    """Solver configuration: one DenoiserSpec per mixture component."""
+    """Solver configuration: one DenoiserSpec per mixture component.
+
+    damping is the floor of the step: mixamp_run starts each run at 1.0
+    and backs off towards it whenever theta exceeds BLOWUP_FACTOR times
+    theta_0, the theta of the zero estimate (not of the running minimum,
+    which converging runs leave far behind near exact recovery); a
+    blow-up at the floor is a divergence. 1.0 therefore runs undamped
+    and fails on the first blow-up. mixamp_step applies damping as given.
+    """
 
     denoiser_a: denoise.DenoiserSpec
     denoiser_b: denoise.DenoiserSpec
@@ -73,9 +96,15 @@ class TraceRecord:
 
 @dataclass
 class IterationTrace:
-    """One record per completed iteration, serializable to CSV."""
+    """One record per completed iteration, serializable to CSV.
+
+    A mixamp run also records the step it ended with (damping_final) and
+    how many times it backed off; neither is part of the CSV schema.
+    """
 
     records: list = field(default_factory=list)
+    damping_final: float | None = None
+    backoffs: int = 0
 
     def append(self, record):
         self.records.append(record)
@@ -214,8 +243,11 @@ def mixamp_run(a, y, mask, cfg):
 
     Returns (xa, xb, trace). A block side that does not divide the grid
     side raises DimensionError, and a non-finite sampled measurement
-    DomainError, before any work; numerical divergence raises
-    SolverDivergenceError with the partial trace attached.
+    DomainError, before any work. The step starts at 1.0 and backs off
+    on each blow-up (see the module docstring); discarded steps count
+    toward max_iters, and the trace holds the accepted path only. A
+    blow-up at the damping floor raises SolverDivergenceError naming the
+    iteration after the lowest-theta state, with the partial trace.
     """
     for spec in (cfg.denoiser_a, cfg.denoiser_b):
         if spec.kind == "block_soft":
@@ -223,18 +255,33 @@ def mixamp_run(a, y, mask, cfg):
     y, scale = normalize_problem(a, linops.masked_measurements(mask, y), mask)
     op = linops.MeasurementOperator(a, mask, scale)
 
-    state = mixamp_init(y, mask)
-    trace = IterationTrace()
-    while state.t < cfg.max_iters:
+    state = best = mixamp_init(y, mask)
+    limit = BLOWUP_FACTOR * state.theta
+    step_cfg = replace(cfg, damping=1.0)
+    trace = IterationTrace(damping_final=step_cfg.damping)
+    for _ in range(cfg.max_iters):
         tic = time.perf_counter()
         try:
-            new_state = mixamp_step(state, op, y, cfg)
-        except SolverDivergenceError as err:
-            err.trace = trace
-            raise
+            new_state = mixamp_step(state, op, y, step_cfg)
+        except SolverDivergenceError:
+            new_state = None  # non-finite theta
         wall_ms = (time.perf_counter() - tic) * 1e3
+        if new_state is None or new_state.theta > limit:
+            if step_cfg.damping <= cfg.damping:
+                raise SolverDivergenceError(
+                    f"theta blew up at damping {step_cfg.damping:g} after iteration {best.t}",
+                    iteration=best.t + 1, trace=trace,
+                )
+            step_cfg = replace(step_cfg, damping=max(BACKOFF * step_cfg.damping, cfg.damping))
+            trace.damping_final = step_cfg.damping
+            trace.backoffs += 1
+            state = best
+            del trace.records[state.t:]
+            continue
         tol_value = stopping_tol((state.xa, state.xb), (new_state.xa, new_state.xb))
         state = new_state
+        if state.theta < best.theta:
+            best = state
         trace.append(
             TraceRecord(
                 t=state.t,

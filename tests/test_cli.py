@@ -126,6 +126,10 @@ class TestSeparate:
         for key in ("case", "side", "sampling", "seed", "tau_a", "tau_b", "damping",
                     "lambda1", "lambda2", "rho", "record_timing"):
             assert key in params
+        # the run starts at step 1.0 and backs off towards the floor 0.3
+        outputs = manifest["outputs"]["mixamp"]
+        assert outputs["backoffs"] >= 1
+        assert outputs["damping_final"] == pytest.approx(0.7 ** outputs["backoffs"])
 
     def test_manifest_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

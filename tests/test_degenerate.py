@@ -11,6 +11,7 @@ from mixamp.exceptions import (
     DimensionError,
     DomainError,
     MixAmpError,
+    SolverDivergenceError,
     SolverError,
 )
 
@@ -57,7 +58,7 @@ def _solve(name, problem):
 # Library cases give the outcome of (mixamp, baseline); the CLI case, run
 # as `separate --solver both`, gives the exit code.
 CASES = {
-    "side2-m1": (lambda: _library(2, 1, block=1), (FINITE, FINITE)),
+    "side2-m1": (lambda: _library(2, 1, block=1), ((SolverDivergenceError, 1), FINITE)),
     "zero-y": (lambda: _library(8, 40, y="zero"), (FINITE, FINITE)),
     "zero-a": (lambda: _library(8, 40, a="zero"),
                ((DegenerateProblemError, 2), (SolverError, 2))),
@@ -65,6 +66,8 @@ CASES = {
     "block-not-dividing": (lambda: _library(6, 30, block=4),
                            ((DimensionError, 2), (DimensionError, 2))),
     "cli-zero-truth": (["--side", "4", "--block", "2", "--sparsity", "0.01"], 2),
+    "cli-side2-m1": (["--side", "2", "--block", "1", "--sampling", "0.25", "--sparsity", "1.0",
+                      "--seed", "1"], 1),
 }
 
 

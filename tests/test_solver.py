@@ -137,16 +137,20 @@ class TestStep:
             a, mask, y, denoise.DenoiserSpec(kind="soft", tau=2.5),
             denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2)) <= 1e-12
 
-    def test_divergence_raises_with_iteration(self):
+    def test_divergence_raises_with_iteration(self, monkeypatch):
         a, mask, _, _, y = small_problem(seed=3)
         cfg = self.cfg(
             denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.0),
             denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=0.1),
             max_iters=500, damping=1.0,
         )
+        steps = []
+        step = solver.mixamp_step
+        monkeypatch.setattr(solver, "mixamp_step", lambda *args: steps.append(1) or step(*args))
         with pytest.raises(SolverDivergenceError) as info:
             solver.mixamp_run(a, y, mask, cfg)
-        assert info.value.iteration >= 1
+        # at the floor 1.0 the first blow-up ends the run, long before an overflow
+        assert 1 <= info.value.iteration <= len(steps) <= 20
         assert info.value.trace is not None
 
 
@@ -189,6 +193,7 @@ class TestRun:
                                           solver.MixAmpConfig(**self.CFG))
         assert not xa.any() and not xb.any()
         assert len(trace) == 1
+        assert trace.backoffs == 0 and trace.damping_final == 1.0  # theta_0 = 0 never blows up
 
     def test_stopping_rule_honored(self):
         a, mask, _, _, y = small_problem()
@@ -264,6 +269,49 @@ class TestRun:
             assert len(fast[2]) == len(dense[2])
             assert np.abs(fast[0] - dense[0]).max() <= 1e-9
             assert np.abs(fast[1] - dense[1]).max() <= 1e-9
+
+
+class TestBackoff:
+    """mixamp_run starts at step 1.0 and backs off towards cfg.damping on a blow-up."""
+
+    SPECS = dict(denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5), denoiser_b=BLOCK4)
+
+    def test_equals_a_hand_loop_when_the_guard_never_fires(self):
+        _, mask, xa, xb, _ = small_problem(side=32, mn=0.7, seed=2)
+        a = linops.dct_sensing(32)
+        y = linops.forward(a, xa + xb, mask)
+        cfg = solver.MixAmpConfig(**self.SPECS, damping=1.0)
+        xa_run, xb_run, trace = solver.mixamp_run(a, y, mask, cfg)
+
+        y_run, c = solver.normalize_problem(a, y, mask)
+        op = linops.MeasurementOperator(a, mask, c)
+        state = solver.mixamp_init(y_run, mask)
+        thetas = []
+        for _ in range(cfg.max_iters):
+            new = solver.mixamp_step(state, op, y_run, cfg)
+            tol = solver.stopping_tol((state.xa, state.xb), (new.xa, new.xb))
+            state = new
+            thetas.append(state.theta)
+            if tol <= cfg.tol:
+                break
+        assert trace.backoffs == 0 and trace.damping_final == 1.0
+        assert np.array_equal(xa_run, state.xa) and np.array_equal(xb_run, state.xb)
+        assert [r.theta for r in trace.records] == thetas
+
+    def test_gaussian_run_backs_off_to_no_less_than_the_floor(self, monkeypatch):
+        a, mask, _, _, y = small_problem(side=32, mn=0.7, seed=1)
+        cfg = solver.MixAmpConfig(**self.SPECS, damping=0.3)
+        steps = []
+        step = solver.mixamp_step
+        monkeypatch.setattr(solver, "mixamp_step",
+                            lambda state, op, y, cfg: steps.append(cfg.damping) or step(state, op, y, cfg))
+        _, _, trace = solver.mixamp_run(a, y, mask, cfg)
+        assert trace.last.tol_value <= cfg.tol
+        assert trace.backoffs >= 1 and steps[0] == 1.0
+        assert min(steps) >= 0.3 and steps[-1] == trace.damping_final
+        assert steps == sorted(steps, reverse=True)
+        assert len(set(steps)) == trace.backoffs + 1
+        assert [r.t for r in trace.records] == list(range(1, len(trace) + 1))
 
 
 class TestTvStateCarry:
