@@ -6,7 +6,7 @@ Subcommands:
   selfcheck  run each check of mixamp.checks on a few instances, print
              PASS/FAIL with the worst violation against its bound
 
-Exit codes: 0 success, 1 numerical/solver failure, 2 usage error.
+Exit codes: 0 success, 1 solver divergence, 2 usage error.
 """
 
 import argparse
@@ -38,31 +38,17 @@ CASES = tuple(CASE_DEFAULTS)
 SOLVERS = ("mixamp", "baseline", "both")
 
 
-def _sampling(text):
-    try:
-        value = float(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"invalid sampling rate {text!r}") from err
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"sampling rate must lie in (0, 1], got {value}")
-    return value
-
-
-def _sampling_list(text):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("sampling list is empty")
-    return [_sampling(p) for p in parts]
-
-
-def _seed_list(text):
-    try:
-        seeds = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"invalid seed list {text!r}") from err
-    if not seeds:
-        raise argparse.ArgumentTypeError("seed list is empty")
-    return seeds
+def _list_of(convert, what):
+    """Argparse type of a non-empty comma-separated list; ranges are checked per run."""
+    def parse(text):
+        try:
+            values = [convert(p) for p in text.split(",") if p.strip()]
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"invalid {what} list {text!r}") from err
+        if not values:
+            raise argparse.ArgumentTypeError(f"{what} list is empty")
+        return values
+    return parse
 
 
 def _add_run_arguments(parser, case, sparsity):
@@ -100,7 +86,7 @@ def build_parser():
 
     sep = sub.add_parser("separate", help="run one separation experiment")
     _add_run_arguments(sep, case="group", sparsity=0.05)
-    sep.add_argument("--sampling", type=_sampling, default=0.7, help="M/N in (0, 1]")
+    sep.add_argument("--sampling", type=float, default=0.7, help="M/N in (0, 1]")
     sep.add_argument("--seed", type=int, default=0)
     sep.add_argument("--disjoint", action="store_true",
                      help="draw shot-noise support disjoint from the group support")
@@ -110,9 +96,10 @@ def build_parser():
 
     swp = sub.add_parser("sweep", help="sweep sampling rates and seeds")
     _add_run_arguments(swp, case="tv", sparsity=0.10)
-    swp.add_argument("--sampling", type=_sampling_list, default=[0.3, 0.5, 0.7],
+    swp.add_argument("--sampling", type=_list_of(float, "sampling"), default=[0.3, 0.5, 0.7],
                      help="comma-separated M/N list")
-    swp.add_argument("--seeds", type=_seed_list, default=[0, 1, 2], help="comma-separated seeds")
+    swp.add_argument("--seeds", type=_list_of(int, "seed"), default=[0, 1, 2],
+                     help="comma-separated seeds")
     swp.add_argument("--out", type=str, default="mixamp_sweep")
 
     chk = sub.add_parser("selfcheck", help="run the micro-scale oracle suite")
@@ -181,17 +168,14 @@ def _check_param_types(p):
 
 
 def _validate_params(p):
+    """The run rules no library object checks; PhantomSpec and the configs check the rest."""
     _check_param_types(p)
     if p["block"] < 1:
         raise MixAmpError(f"block must be >= 1, got {p['block']}")
-    if p["side"] < 2:
-        raise MixAmpError(f"side must be >= 2, got {p['side']}")
     if not 0.0 < p["sampling"] <= 1.0:
         raise MixAmpError(f"sampling must lie in (0, 1], got {p['sampling']}")
-    if not 0.0 < p["sparsity"] <= 1.0:
-        raise MixAmpError(f"sparsity must lie in (0, 1], got {p['sparsity']}")
-    if p["case"] == "group" and p["side"] % p["block"] != 0:
-        raise MixAmpError(f"block {p['block']} must divide side {p['side']}")
+    if p["seed"] < 0:  # the derived seeds seed * 101 + k must be valid RNG seeds
+        raise MixAmpError(f"seed must be >= 0, got {p['seed']}")
 
 
 def build_problem(p):
@@ -256,15 +240,26 @@ def _baseline_config(p):
     )
 
 
+def _solver_configs(p):
+    """{solver name: config} of every solver the run asks for, in run order."""
+    names = ("mixamp", "baseline") if p["solver"] == "both" else (p["solver"],)
+    build = {"mixamp": _mixamp_config, "baseline": _baseline_config}
+    return {name: build[name](p) for name in names}
+
+
 def run_separation(p, out_dir):
-    """Execute one experiment; returns (exit_code, metric rows)."""
+    """Execute one experiment; returns (exit_code, metric rows).
+
+    Params, problem and every solver config are checked before the output
+    directory is created, so a rejected run writes nothing.
+    """
     _validate_params(p)
+    configs = _solver_configs(p)
     a, mask, xa_true, xb_true, y = build_problem(p)
     _check_truth(p, xa_true, xb_true)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    solvers = ("mixamp", "baseline") if p["solver"] == "both" else (p["solver"],)
-    suffix = (lambda name: f"_{name}") if len(solvers) > 1 else (lambda name: "")
+    suffix = (lambda name: f"_{name}") if len(configs) > 1 else (lambda name: "")
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -274,14 +269,13 @@ def run_separation(p, out_dir):
     }
     rows = []
     code = 0
-    for name in solvers:
+    for name, cfg in configs.items():
         tic = time.perf_counter()
         try:
             if name == "mixamp":
-                xa_hat, xb_hat, trace = solver.mixamp_run(a, y, mask, _mixamp_config(p))
+                xa_hat, xb_hat, trace = solver.mixamp_run(a, y, mask, cfg)
             else:
-                variant = "group" if p["case"] == "group" else "tv"
-                xa_hat, xb_hat, trace = baseline.baseline_solve(a, y, mask, _baseline_config(p), variant)
+                xa_hat, xb_hat, trace = baseline.baseline_solve(a, y, mask, cfg, p["case"])
         except SolverDivergenceError as err:
             print(f"mixamp: {name} diverged at iteration {err.iteration}", file=sys.stderr)
             if err.trace is not None:
@@ -308,7 +302,6 @@ def run_separation(p, out_dir):
             "xhat_b": f"xhat_b{suffix(name)}.pgm",
             "trace": f"trace{suffix(name)}.csv",
             "iters": len(trace),
-            "damping": p["damping"],
         }
         if name == "mixamp":
             manifest["outputs"][name].update(damping_final=trace.damping_final,
@@ -375,14 +368,16 @@ def _sweep_worker(task):
 def cmd_sweep(args):
     base = _resolve_params(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = []
     for sampling in args.sampling:
         for seed in args.seeds:
-            params = dict(base)
-            params["sampling"] = sampling
-            params["seed"] = seed
+            params = dict(base, sampling=sampling, seed=seed)
+            # a bad run param or solver config fails the sweep before anything
+            # is written; a problem that cannot be built fails its own point
+            _validate_params(params)
+            _solver_configs(params)
             tasks.append((params, str(out / f"s{sampling:g}_seed{seed}")))
+    out.mkdir(parents=True, exist_ok=True)
     workers = max(1, int(os.environ.get("MIXAMP_THREADS", "1")))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -38,6 +38,8 @@ class PhantomSpec:
             raise DimensionError("side must be >= 2")
         if self.kind == "shot_noise" and not 0.0 < self.sparsity <= 1.0:
             raise DomainError(f"sparsity must lie in (0, 1], got {self.sparsity}")
+        if self.kind == "group_sparse" and self.block_side < 1:
+            raise DimensionError(f"block_side must be >= 1, got {self.block_side}")
         if self.kind == "group_sparse" and not 0.0 <= self.active_fraction <= 1.0:
             raise DomainError(f"active_fraction must lie in [0, 1], got {self.active_fraction}")
 

@@ -37,21 +37,23 @@ def _check_grid(z, side=None, name="grid"):
 
 @dataclass(frozen=True, eq=False)
 class SamplingMask:
-    """Sampled index set Omega with |Omega| = m out of the side x side grid.
+    """Sampled index set Omega out of the side x side grid.
 
-    ``indices`` is an (m, 2) int array of (row, col) pairs sorted
-    lexicographically; ``grid`` is the equivalent boolean indicator, which
-    gives O(1) membership tests and vectorized masking. Both are treated as
-    immutable: ``unsampled`` is derived from ``grid`` once and cached.
+    ``grid`` is the boolean indicator of Omega and the only stored fact:
+    the side is its shape, m = |Omega| its count of True entries, and the
+    (row, col) pairs of Omega are ``np.argwhere(grid)``. It is treated as
+    immutable: ``m`` and ``unsampled`` are derived from it once and cached.
     """
 
-    side: int
-    indices: np.ndarray
     grid: np.ndarray
 
     @property
+    def side(self):
+        return self.grid.shape[0]
+
+    @cached_property
     def m(self):
-        return int(self.indices.shape[0])
+        return int(np.count_nonzero(self.grid))
 
     @cached_property
     def unsampled(self):
@@ -61,19 +63,23 @@ class SamplingMask:
         return flat
 
     def vec_indices(self):
-        """Column-major vectorized indices of Omega: (k, l) -> l * side + k."""
-        k = self.indices[:, 0]
-        l = self.indices[:, 1]
-        return np.sort(l * self.side + k)
+        """Column-major vectorized indices of Omega: (k, l) -> l * side + k, sorted."""
+        return np.flatnonzero(self.grid.T)
 
 
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """Square measurement matrix A; kind is one of {"gaussian", "dct", "identity"}."""
+    """Square measurement matrix A; kind is one of {"gaussian", "dct", "identity"}.
 
-    side: int
+    ``entries`` is the only stored array; the side is its shape.
+    """
+
     entries: np.ndarray
     kind: str
+
+    @property
+    def side(self):
+        return self.entries.shape[0]
 
 
 def gen_gaussian_sensing(side, m, seed):
@@ -93,20 +99,20 @@ def gen_gaussian_sensing(side, m, seed):
         raise DimensionError(f"m must satisfy 1 <= m <= side^2, got m={m}, side={side}")
     rng = np.random.default_rng(seed)
     entries = rng.normal(0.0, 1.0 / np.sqrt(m), size=(side, side))
-    return SensingMatrix(side=side, entries=entries, kind="gaussian")
+    return SensingMatrix(entries=entries, kind="gaussian")
 
 
 def dct_sensing(side):
     """Orthonormal DCT-II matrix: A X A^T equals the 2D DCT of X."""
     _check_side(side)
     entries = scipy.fft.dct(np.eye(side), axis=0, norm="ortho")
-    return SensingMatrix(side=side, entries=entries, kind="dct")
+    return SensingMatrix(entries=entries, kind="dct")
 
 
 def identity_sensing(side):
     """Identity matrix; measurements reduce to masked samples of X."""
     _check_side(side)
-    return SensingMatrix(side=side, entries=np.eye(side), kind="identity")
+    return SensingMatrix(entries=np.eye(side), kind="identity")
 
 
 def gen_mask(side, m, seed):
@@ -116,26 +122,20 @@ def gen_mask(side, m, seed):
     if not 1 <= m <= n:
         raise DimensionError(f"m must satisfy 1 <= m <= side^2, got m={m}, side={side}")
     rng = np.random.default_rng(seed)
-    flat = rng.choice(n, size=m, replace=False)
-    flat.sort()
-    # row-major decode keeps indices lexicographically sorted
-    pairs = np.column_stack(np.divmod(flat, side)).astype(np.int64)
-    grid = np.zeros((side, side), dtype=bool)
-    grid[pairs[:, 0], pairs[:, 1]] = True
-    return SamplingMask(side=side, indices=pairs, grid=grid)
+    grid = np.zeros(n, dtype=bool)
+    grid[rng.choice(n, size=m, replace=False)] = True  # row-major flat indices
+    return SamplingMask(grid=grid.reshape(side, side))
 
 
 def full_mask(side):
     """Mask with Omega equal to the whole grid."""
     _check_side(side)
-    pairs = np.column_stack(np.divmod(np.arange(side * side), side)).astype(np.int64)
-    return SamplingMask(side=side, indices=pairs, grid=np.ones((side, side), dtype=bool))
+    return SamplingMask(grid=np.ones((side, side), dtype=bool))
 
 
 def mask_apply(mask, z):
     """Null every entry of z outside Omega; idempotent."""
-    z = _check_grid(z, side=mask.side, name="z")
-    return np.where(mask.grid, z, 0.0)
+    return _zero_unsampled(_check_grid(z, side=mask.side, name="z").copy(), mask)
 
 
 def masked_measurements(mask, y):
@@ -148,13 +148,14 @@ def masked_measurements(mask, y):
 
 
 def _zero_unsampled(y, mask):
-    """Zero the entries of a freshly computed product outside Omega.
+    """Zero the entries of y outside Omega; every product and mask_apply use it.
 
     Scatters into the cached complement index instead of selecting with
     np.where(mask.grid, y, 0.0): the same values, inf and NaN included, in
-    about a fifth of the time. Writes in place, so y must be a temporary; a
-    y that is not C-ordered is copied first, because a scatter into the
-    copy that ravel() would make could not reach y.
+    about a fifth of the time. Writes in place, so y must be a temporary
+    (a fresh product, or mask_apply's copy of its input); a y that is not
+    C-ordered is copied first, because a scatter into the copy that
+    ravel() would make could not reach y.
     """
     y = np.ascontiguousarray(y)
     y.reshape(-1)[mask.unsampled] = 0.0

@@ -128,6 +128,7 @@ class TestSeparate:
             assert key in params
         # the run starts at step 1.0 and backs off towards the floor 0.3
         outputs = manifest["outputs"]["mixamp"]
+        assert "damping" not in outputs  # params.damping is its one home
         assert outputs["backoffs"] >= 1
         assert outputs["damping_final"] == pytest.approx(0.7 ** outputs["backoffs"])
 
@@ -196,6 +197,17 @@ class TestSweep:
 
     def test_sampling_out_of_range_exit_2(self, tmp_path):
         assert run_cli("sweep", "--sampling", "0.5,1.2", "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--tau-a", "-1"],
+        ["--seeds", "0,-1"],
+        ["--solver", "both", "--max-iters", "0"],
+    ], ids=["tau-a", "seed", "max-iters"])
+    def test_bad_flag_exit_2_before_any_output(self, tmp_path, argv):
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--side", "16", *argv, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestParsedDefaults:
@@ -278,7 +290,7 @@ class TestProblemConstruction:
         a1, m1, xa1, xb1, y1 = cli.build_problem(params)
         a2, m2, xa2, xb2, y2 = cli.build_problem(params)
         assert np.array_equal(a1.entries, a2.entries)
-        assert np.array_equal(m1.indices, m2.indices)
+        assert np.array_equal(m1.grid, m2.grid)
         assert np.array_equal(y1, y2)
 
 
@@ -307,3 +319,13 @@ class TestManifestParamTypes:
         # --tau sets both thresholds; the first one checked is named
         assert run_cli("separate", "--tau", "nan", "--out", str(tmp_path / "x")) == 2
         assert "param tau_a must be a finite real number" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2_writes_nothing(self, tmp_path, capsys):
+        params = cli._resolve_params(cli.build_parser().parse_args(["separate"]))
+        params["seed"] = -1
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"schema": cli.MANIFEST_SCHEMA, "params": params}))
+        out = tmp_path / "x"
+        assert run_cli("separate", "--manifest", str(path), "--out", str(out)) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()

@@ -37,6 +37,10 @@ class TestShotNoise:
 
 
 class TestGroupSparse:
+    def test_zero_block_side(self):
+        with pytest.raises(DimensionError, match="block_side must be >= 1"):
+            data.PhantomSpec(kind="group_sparse", block_side=0)
+
     def test_zero_fraction(self):
         spec = data.PhantomSpec(kind="group_sparse", side=8, block_side=2,
                                 active_fraction=0.0, seed=0)

@@ -26,11 +26,11 @@ def _library(side, m, block=2, y="random", a="gaussian"):
     if y == "zero":
         meas = np.zeros((side, side))
     elif y == "nan":
-        k, l = mask.indices[0]
+        k, l = np.argwhere(mask.grid)[0]
         meas[k, l] = np.nan
     sensing = gauss
     if a == "zero":
-        sensing = linops.SensingMatrix(side=side, entries=np.zeros((side, side)), kind="gaussian")
+        sensing = linops.SensingMatrix(entries=np.zeros((side, side)), kind="gaussian")
     return sensing, meas, mask, block
 
 
@@ -68,6 +68,9 @@ CASES = {
     "cli-zero-truth": (["--side", "4", "--block", "2", "--sparsity", "0.01"], 2),
     "cli-side2-m1": (["--side", "2", "--block", "1", "--sampling", "0.25", "--sparsity", "1.0",
                       "--seed", "1"], 1),
+    "cli-baseline-config": (["--lambda1", "-1"], 2),
+    "cli-max-iters-0": (["--max-iters", "0"], 2),
+    "cli-negative-seed": (["--seed", "-1"], 2),
 }
 
 

@@ -59,7 +59,7 @@ class TestMask:
     def test_single_sample(self):
         mask = linops.gen_mask(4, 1, seed=5)
         assert mask.m == 1
-        k, l = mask.indices[0]
+        k, l = np.argwhere(mask.grid)[0]
         assert 0 <= k < 4 and 0 <= l < 4
         assert mask.grid[k, l] and mask.grid.sum() == 1
 
@@ -70,17 +70,27 @@ class TestMask:
 
     def test_no_duplicates_and_sorted(self):
         mask = linops.gen_mask(16, 100, seed=9)
-        flat = mask.indices[:, 0] * 16 + mask.indices[:, 1]
+        pairs = np.argwhere(mask.grid)
+        flat = pairs[:, 0] * 16 + pairs[:, 1]
         assert len(np.unique(flat)) == 100
 
     def test_deterministic(self):
         m1 = linops.gen_mask(16, 50, seed=4)
         m2 = linops.gen_mask(16, 50, seed=4)
-        assert np.array_equal(m1.indices, m2.indices)
+        assert np.array_equal(m1.grid, m2.grid)
 
     def test_too_many_samples(self):
         with pytest.raises(DimensionError):
             linops.gen_mask(4, 17, seed=0)
+
+    def test_one_stored_array(self):
+        # side and m are read off the array, so they cannot disagree with it
+        names = lambda cls: tuple(f.name for f in dataclasses.fields(cls))
+        assert names(linops.SensingMatrix) == ("entries", "kind")
+        assert names(linops.SamplingMask) == ("grid",)
+        mask = linops.SamplingMask(grid=np.zeros((6, 6), dtype=bool))
+        assert (mask.side, mask.m) == (6, 0)
+        assert linops.SensingMatrix(entries=np.eye(4), kind="gaussian").side == 4
 
 
 class TestMaskApply:
@@ -99,6 +109,14 @@ class TestMaskApply:
     def test_zero_in_zero_out(self):
         mask = linops.gen_mask(8, 30, seed=2)
         assert not linops.mask_apply(mask, np.zeros((8, 8))).any()
+
+    def test_input_untouched(self):
+        mask = linops.gen_mask(8, 30, seed=2)
+        z = np.random.default_rng(3).standard_normal((8, 8))
+        kept = z.copy()
+        out = linops.mask_apply(mask, z)
+        assert np.array_equal(z, kept)
+        assert np.array_equal(out, np.where(mask.grid, z, 0.0))
 
     def test_side_mismatch(self):
         mask = linops.gen_mask(8, 30, seed=2)

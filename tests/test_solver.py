@@ -56,10 +56,7 @@ class TestInit:
 
     def test_empty_mask_is_degenerate(self):
         from mixamp.exceptions import DegenerateProblemError
-        empty = linops.SamplingMask(
-            side=4, indices=np.zeros((0, 2), dtype=np.int64),
-            grid=np.zeros((4, 4), dtype=bool),
-        )
+        empty = linops.SamplingMask(grid=np.zeros((4, 4), dtype=bool))
         with pytest.raises(DegenerateProblemError):
             solver.mixamp_init(np.zeros((4, 4)), empty)
 
@@ -374,7 +371,7 @@ class TestNonFiniteMeasurement:
     @pytest.mark.parametrize("name", ["mixamp", "baseline"])
     def test_sampled_entry_is_a_domain_error(self, name, value, monkeypatch):
         a, mask, _, _, y = small_problem(seed=2)
-        k, l = mask.indices[5]
+        k, l = np.argwhere(mask.grid)[5]
         y[k, l] = value
         products = []
         forward = linops.forward
@@ -415,15 +412,20 @@ class TestNormalizeProblem:
     def test_empty_mask_is_degenerate(self):
         from mixamp.exceptions import DegenerateProblemError
         a = linops.gen_gaussian_sensing(4, 4, seed=0)
-        empty = linops.SamplingMask(
-            side=4, indices=np.zeros((0, 2), dtype=np.int64),
-            grid=np.zeros((4, 4), dtype=bool),
-        )
+        empty = linops.SamplingMask(grid=np.zeros((4, 4), dtype=bool))
         with pytest.raises(DegenerateProblemError):
             solver.normalize_problem(a, np.zeros((4, 4)), empty)
         cfg = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT)
         with pytest.raises(DegenerateProblemError):
             solver.mixamp_run(a, np.zeros((4, 4)), empty, cfg)
+
+    def test_matrix_side_must_match_mask(self):
+        # the side is the shape of entries, so a 4x4 matrix cannot pose as side 8
+        a = linops.SensingMatrix(entries=np.eye(4), kind="gaussian")
+        mask = linops.gen_mask(8, 40, seed=0)
+        cfg = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=BLOCK4)
+        with pytest.raises(DimensionError, match="does not match matrix side 4"):
+            solver.mixamp_run(a, np.zeros((8, 8)), mask, cfg)
 
     def test_identity_full_mask_mild_scale(self):
         a = linops.identity_sensing(8)
