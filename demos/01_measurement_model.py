@@ -15,8 +15,8 @@ m = int(0.7 * n)
 
 # Gaussian sensing matrix with entry variance 1/m, reproducible per seed
 a = linops.gen_gaussian_sensing(side, m, seed=0)
-print(f"A: {a.side}x{a.side} {a.kind}, entry variance {a.entries.var():.5f} "
-      f"(target {1/m:.5f})")
+print(f"A: {a.side}x{a.side}, entry variance {a.entries.var():.5f} "
+      f"(target {1/m:.5f}), condition number {np.linalg.cond(a.entries):.1f}")
 
 # the sampled index set Omega
 mask = linops.gen_mask(side, m, seed=1)
@@ -47,3 +47,10 @@ fast = linops.dct_fast_forward(x64, mask64)
 explicit = linops.forward(linops.dct_sensing(64), x64, mask64)
 print(f"dct_fast_forward vs explicit DCT product: max abs diff "
       f"{np.abs(fast - explicit).max():.2e}")
+
+# a solver's operator reads its form off the entries: the DCT's own entries
+# at a power-of-two side take the fast transform, any other matrix the
+# dense product
+for name, sensing in (("DCT", linops.dct_sensing(64)),
+                      ("Gaussian", linops.gen_gaussian_sensing(64, mask64.m, seed=4))):
+    print(f"{name} sensing at side 64: fast form {linops.MeasurementOperator(sensing, mask64).fast}")

@@ -83,12 +83,12 @@ def estimate_lipschitz(op, cfg):
     """rho times the dominant eigenvalue of (Xa, Xb) -> M*M(Xa + Xb).
 
     ``op`` is a linops.MeasurementOperator. The value is padded by 2% so the
-    1/L step never overshoots. For an orthonormal matrix (dct or identity
-    kind) and a non-empty mask, M*M = c^4 A^T P_Omega A is c^4 times an
-    orthogonal projection, so the eigenvalue is 2 c^4 in closed form. Any
-    other operator is estimated by power iteration.
+    1/L step never overshoots. An operator in the fast DCT form has an
+    orthonormal matrix, so with a non-empty mask M*M = c^4 A^T P_Omega A is
+    c^4 times an orthogonal projection and the eigenvalue is 2 c^4 in
+    closed form. Every dense matrix is estimated by power iteration.
     """
-    if op.kind in ("dct", "identity") and op.mask.m > 0:
+    if op.fast and op.mask.m > 0:
         return cfg.rho * 2.0 * op.gain * op.gain * 1.02
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal((op.side, op.side))

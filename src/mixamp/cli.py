@@ -178,11 +178,12 @@ def _validate_params(p):
         raise MixAmpError(f"seed must be >= 0, got {p['seed']}")
 
 
-def build_problem(p):
-    """Ground truth, sensing matrix, mask, and measurements for one run."""
+def build_truth(p):
+    """Ground-truth pair (xa, xb) of one run; the sampling rate plays no part.
+
+    A truth with an all-zero component is rejected: its PSNR is undefined.
+    """
     side = p["side"]
-    n = side * side
-    m = int(round(p["sampling"] * n))
     seed = p["seed"]
     spec_a = data.PhantomSpec(
         kind="shot_noise", side=side, sparsity=p["sparsity"], seed=seed * 101 + 11
@@ -201,22 +202,27 @@ def build_problem(p):
             )
         forbidden = (xb_true != 0) if p["disjoint"] else None
         xa_true = data.gen_shot_noise(spec_a, forbidden=forbidden)
+    if not xa_true.any():
+        raise MixAmpError(f"ground-truth component a is all zeros: sparsity {p['sparsity']} "
+                          f"at side {side} rounds to 0 impulses")
+    if not xb_true.any():
+        cause = (f"active_fraction {p['active_fraction']} at side {side}, block "
+                 f"{p['block']} rounds to 0 active tiles" if p["case"] == "group"
+                 else f"image {p['image']} is all black")
+        raise MixAmpError(f"ground-truth component b is all zeros: {cause}")
+    return xa_true, xb_true
+
+
+def build_problem(p):
+    """Ground truth, sensing matrix, mask, and measurements for one run."""
+    xa_true, xb_true = build_truth(p)
+    side = p["side"]
+    m = int(round(p["sampling"] * side * side))
+    seed = p["seed"]
     a = linops.gen_gaussian_sensing(side, m, seed=seed * 101 + 97)
     mask = linops.gen_mask(side, m, seed=seed * 101 + 31)
     y = linops.forward(a, xa_true + xb_true, mask)
     return a, mask, xa_true, xb_true, y
-
-
-def _check_truth(p, xa_true, xb_true):
-    """Reject a ground truth with an all-zero component: its PSNR is undefined."""
-    if not xa_true.any():
-        raise MixAmpError(f"ground-truth component a is all zeros: sparsity {p['sparsity']} "
-                          f"at side {p['side']} rounds to 0 impulses")
-    if not xb_true.any():
-        cause = (f"active_fraction {p['active_fraction']} at side {p['side']}, block "
-                 f"{p['block']} rounds to 0 active tiles" if p["case"] == "group"
-                 else f"image {p['image']} is all black")
-        raise MixAmpError(f"ground-truth component b is all zeros: {cause}")
 
 
 def _mixamp_config(p):
@@ -256,7 +262,6 @@ def run_separation(p, out_dir):
     _validate_params(p)
     configs = _solver_configs(p)
     a, mask, xa_true, xb_true, y = build_problem(p)
-    _check_truth(p, xa_true, xb_true)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     suffix = (lambda name: f"_{name}") if len(configs) > 1 else (lambda name: "")
@@ -368,15 +373,21 @@ def _sweep_worker(task):
 def cmd_sweep(args):
     base = _resolve_params(args)
     out = Path(args.out)
-    tasks = []
+    points = {}  # output directory -> params
     for sampling in args.sampling:
         for seed in args.seeds:
             params = dict(base, sampling=sampling, seed=seed)
-            # a bad run param or solver config fails the sweep before anything
-            # is written; a problem that cannot be built fails its own point
+            # every rule but the sample count fails the sweep before anything
+            # is written; a rate that rounds to no samples fails its own point
             _validate_params(params)
             _solver_configs(params)
-            tasks.append((params, str(out / f"s{sampling:g}_seed{seed}")))
+            build_truth(params)
+            point = out / f"s{sampling:g}_seed{seed}"
+            if point in points:
+                raise MixAmpError(f"sampling {points[point]['sampling']!r} and {sampling!r} "
+                                  f"with seed {seed} share the output directory {point}")
+            points[point] = params
+    tasks = [(params, str(point)) for point, params in points.items()]
     out.mkdir(parents=True, exist_ok=True)
     workers = max(1, int(os.environ.get("MIXAMP_THREADS", "1")))
     if workers > 1:

@@ -6,7 +6,7 @@ indices in documentation are 1-based; arrays are 0-based internally.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -69,13 +69,21 @@ class SamplingMask:
 
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """Square measurement matrix A; kind is one of {"gaussian", "dct", "identity"}.
+    """Square measurement matrix A, given by its entries alone.
 
-    ``entries`` is the only stored array; the side is its shape.
+    ``entries`` is the only stored fact: the side is its shape, and
+    MeasurementOperator reads its fast DCT form off the values. The
+    entries are checked once, here: a square 2D float array of side >= 2
+    (DimensionError) with finite values (DomainError).
     """
 
     entries: np.ndarray
-    kind: str
+
+    def __post_init__(self):
+        entries = _check_grid(self.entries, name="sensing matrix")
+        if not np.isfinite(entries).all():
+            raise DomainError("sensing matrix entries must be finite")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def side(self):
@@ -99,20 +107,26 @@ def gen_gaussian_sensing(side, m, seed):
         raise DimensionError(f"m must satisfy 1 <= m <= side^2, got m={m}, side={side}")
     rng = np.random.default_rng(seed)
     entries = rng.normal(0.0, 1.0 / np.sqrt(m), size=(side, side))
-    return SensingMatrix(entries=entries, kind="gaussian")
+    return SensingMatrix(entries=entries)
 
 
+@lru_cache(maxsize=8)
 def dct_sensing(side):
-    """Orthonormal DCT-II matrix: A X A^T equals the 2D DCT of X."""
+    """Orthonormal DCT-II matrix: A X A^T equals the 2D DCT of X.
+
+    Built once per side; the entries are read-only, so every caller, and
+    MeasurementOperator's test for the fast form, shares one array.
+    """
     _check_side(side)
     entries = scipy.fft.dct(np.eye(side), axis=0, norm="ortho")
-    return SensingMatrix(entries=entries, kind="dct")
+    entries.setflags(write=False)
+    return SensingMatrix(entries=entries)
 
 
 def identity_sensing(side):
     """Identity matrix; measurements reduce to masked samples of X."""
     _check_side(side)
-    return SensingMatrix(entries=np.eye(side), kind="identity")
+    return SensingMatrix(entries=np.eye(side))
 
 
 def gen_mask(side, m, seed):
@@ -214,7 +228,7 @@ def _is_power_of_two(side):
 def dct_fast_forward(x, mask):
     """P_Omega{FCT_2D[X]} via the fast cosine transform.
 
-    Equals forward() with a dct-kind matrix to ~1e-12, at
+    Equals forward() with the dct_sensing matrix to ~1e-12, at
     O(N log sqrt(N)) cost instead of two dense products. The advantage
     is asymptotic: with a fast BLAS the dense product can still win at
     side 64 and below; the fast path pulls ahead at larger sides.
@@ -233,7 +247,7 @@ def dct_fast_forward(x, mask):
 def dct_fast_adjoint(r):
     """Adjoint of dct_fast_forward for masked r: the inverse 2D DCT, D^T R D.
 
-    Equals adjoint() with a dct-kind matrix to ~1e-12. Power-of-two sides
+    Equals adjoint() with the dct_sensing matrix to ~1e-12. Power-of-two sides
     only, like dct_fast_forward.
     """
     r = _check_grid(r, name="r")
@@ -247,12 +261,13 @@ class MeasurementOperator:
     """The masked two-sided map of one solve, X -> P_Omega{(cA) X (cA)^T}.
 
     ``a`` is the sensing matrix before scaling and ``scale`` the factor c
-    (normalize_problem's, or 1). An orthonormal DCT matrix at a
-    power-of-two side takes the fast form: dct_fast_forward and
-    dct_fast_adjoint, with c^2 applied as one multiply. Every other matrix
-    takes the dense form: forward() and adjoint() with the matrix cA,
-    built once here as c * a.entries. Both forms call the public
-    functions of this module, so a profiler or tracer sees every product.
+    (normalize_problem's, or 1). The form is read off the entries: a
+    matrix equal, entry for entry, to dct_sensing at a power-of-two side
+    takes the fast form, dct_fast_forward and dct_fast_adjoint with c^2
+    applied as one multiply. Every other matrix takes the dense form:
+    forward() and adjoint() with the matrix cA, built once here as
+    c * a.entries. Both forms call the public functions of this module,
+    so a profiler or tracer sees every product.
     """
 
     def __init__(self, a, mask, scale=1.0):
@@ -260,8 +275,8 @@ class MeasurementOperator:
             raise DimensionError(f"mask side {mask.side} does not match matrix side {a.side}")
         self.mask = mask
         self.side = a.side
-        self.kind = a.kind
-        self.fast = a.kind == "dct" and _is_power_of_two(a.side)
+        self.fast = (_is_power_of_two(a.side)
+                     and np.array_equal(a.entries, dct_sensing(a.side).entries))
         self.gain = scale * scale  # c^2
         self._a = a if self.fast or scale == 1.0 else replace(a, entries=scale * a.entries)
 

@@ -100,20 +100,36 @@ class TestLipschitz:
         y = linops.forward(a, xa + xb, mask)
         assert_descent_lemma(a, mask, y, baseline.BaselineConfig(**CFG_GROUP))
 
+    @staticmethod
+    def counted(op):
+        """op with its forward products counted in the returned list."""
+        calls, forward = [], op.forward
+        op.forward = lambda x: calls.append(1) or forward(x)
+        return op, calls
+
     @pytest.mark.parametrize("side", [8, 32, 256])
     def test_closed_form_matches_power_iteration(self, side):
-        # the same operator takes the power iteration once it no longer
-        # reports an orthonormal kind; the DCT keeps its fast products
+        # the negated DCT and the identity have the same M*M as the DCT but
+        # take the dense form, so their step comes from a power iteration
         cfg = baseline.BaselineConfig(**CFG_GROUP)
         mask = linops.gen_mask(side, int(0.7 * side * side), seed=side)
-        matrices = [linops.dct_sensing(side)] + ([linops.identity_sensing(side)] if side < 256 else [])
-        for a in matrices:
-            for scale in (1.0, 1.3):
-                op = linops.MeasurementOperator(a, mask, scale)
-                closed = baseline.estimate_lipschitz(op, cfg)
-                op.kind = "unknown"
+        dct = linops.dct_sensing(side)
+        dense = [linops.SensingMatrix(entries=-dct.entries)]
+        dense += [linops.identity_sensing(side)] if side < 256 else []
+        for scale in (1.0, 1.3):
+            closed = baseline.estimate_lipschitz(linops.MeasurementOperator(dct, mask, scale), cfg)
+            for a in dense:
+                op, calls = self.counted(linops.MeasurementOperator(a, mask, scale))
                 power = baseline.estimate_lipschitz(op, cfg)
-                assert abs(closed - power) <= 1e-9 * power, (a.kind, scale)
+                assert len(calls) == baseline._POWER_ITERS
+                assert abs(closed - power) <= 1e-9 * power, scale
+
+    def test_dense_matrix_runs_the_power_iteration(self):
+        # a Gaussian matrix at a power-of-two side is not the DCT
+        a, mask, _, _, _ = group_problem(side=16, seed=3)
+        op, calls = self.counted(linops.MeasurementOperator(a, mask))
+        baseline.estimate_lipschitz(op, baseline.BaselineConfig(**CFG_GROUP))
+        assert len(calls) == baseline._POWER_ITERS
 
     def test_closed_form_runs_no_products(self):
         cfg = baseline.BaselineConfig(**CFG_GROUP)

@@ -203,11 +203,24 @@ class TestSweep:
         ["--tau-a", "-1"],
         ["--seeds", "0,-1"],
         ["--solver", "both", "--max-iters", "0"],
-    ], ids=["tau-a", "seed", "max-iters"])
+        ["--sparsity", "2"],
+        ["--case", "group", "--block", "3"],
+        ["--sparsity", "0.001"],
+    ], ids=["tau-a", "seed", "max-iters", "sparsity", "block", "zero-truth"])
     def test_bad_flag_exit_2_before_any_output(self, tmp_path, argv):
         out = tmp_path / "sw"
         assert run_cli("sweep", "--side", "16", *argv, "--out", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("sampling,seeds", [
+        ("0.5,0.50", "0"), ("0.5", "0,0"), ("0.1234561,0.1234564", "0"),
+    ], ids=["same-rate", "same-seed", "same-name"])
+    def test_points_sharing_a_directory_exit_2(self, tmp_path, capsys, sampling, seeds):
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--case", "group", "--side", "16", "--sampling", sampling,
+                       "--seeds", seeds, "--solver", "mixamp", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "share the output directory" in capsys.readouterr().err
 
 
 class TestParsedDefaults:

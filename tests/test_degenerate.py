@@ -28,10 +28,10 @@ def _library(side, m, block=2, y="random", a="gaussian"):
     elif y == "nan":
         k, l = np.argwhere(mask.grid)[0]
         meas[k, l] = np.nan
-    sensing = gauss
-    if a == "zero":
-        sensing = linops.SensingMatrix(entries=np.zeros((side, side)), kind="gaussian")
-    return sensing, meas, mask, block
+    entries = {"gaussian": gauss.entries, "zero": np.zeros((side, side)),
+               "nan": np.where(np.eye(side) == 1, np.nan, gauss.entries),
+               "1d": gauss.entries[0], "wide": gauss.entries[:, :side // 2]}[a]
+    return linops.SensingMatrix(entries=entries), meas, mask, block
 
 
 def _solve(name, problem):
@@ -55,8 +55,9 @@ def _solve(name, problem):
     return FINITE
 
 
-# Library cases give the outcome of (mixamp, baseline); the CLI case, run
-# as `separate --solver both`, gives the exit code.
+# Library cases give the outcome of (mixamp, baseline), or of building the
+# problem when that already fails; the CLI case, run as `separate --solver
+# both`, gives the exit code.
 CASES = {
     "side2-m1": (lambda: _library(2, 1, block=1), ((SolverDivergenceError, 1), FINITE)),
     "zero-y": (lambda: _library(8, 40, y="zero"), (FINITE, FINITE)),
@@ -65,6 +66,9 @@ CASES = {
     "nonfinite-y": (lambda: _library(8, 40, y="nan"), ((DomainError, 2), (DomainError, 2))),
     "block-not-dividing": (lambda: _library(6, 30, block=4),
                            ((DimensionError, 2), (DimensionError, 2))),
+    "nonfinite-a": (lambda: _library(16, 128, a="nan"), (DomainError, 2)),
+    "1d-a": (lambda: _library(16, 128, a="1d"), (DimensionError, 2)),
+    "16x8-a": (lambda: _library(16, 128, a="wide"), (DimensionError, 2)),
     "cli-zero-truth": (["--side", "4", "--block", "2", "--sparsity", "0.01"], 2),
     "cli-side2-m1": (["--side", "2", "--block", "1", "--sampling", "0.25", "--sparsity", "1.0",
                       "--seed", "1"], 1),
@@ -85,5 +89,9 @@ def test_degenerate_input(case, tmp_path):
         if code == 2:
             assert not out.exists()  # a rejected run writes nothing
         return
-    problem = inputs()
+    try:
+        problem = inputs()
+    except MixAmpError as err:
+        assert (type(err), cli._exit_code(err)) == expected
+        return
     assert (_solve("mixamp", problem), _solve("baseline", problem)) == expected

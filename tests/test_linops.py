@@ -44,10 +44,13 @@ class TestDctIdentity:
             gram = a.entries @ a.entries.T
             assert np.abs(gram - np.eye(side)).max() <= 1e-10
 
-    def test_identity_kind(self):
-        a = linops.identity_sensing(5)
-        assert a.kind == "identity"
-        assert np.array_equal(a.entries, np.eye(5))
+    def test_identity_entries(self):
+        assert np.array_equal(linops.identity_sensing(5).entries, np.eye(5))
+
+    def test_dct_built_once_per_side_and_read_only(self):
+        assert linops.dct_sensing(16).entries is linops.dct_sensing(16).entries
+        with pytest.raises(ValueError):
+            linops.dct_sensing(16).entries[0, 0] = 0.0
 
 
 class TestMask:
@@ -86,11 +89,11 @@ class TestMask:
     def test_one_stored_array(self):
         # side and m are read off the array, so they cannot disagree with it
         names = lambda cls: tuple(f.name for f in dataclasses.fields(cls))
-        assert names(linops.SensingMatrix) == ("entries", "kind")
+        assert names(linops.SensingMatrix) == ("entries",)
         assert names(linops.SamplingMask) == ("grid",)
         mask = linops.SamplingMask(grid=np.zeros((6, 6), dtype=bool))
         assert (mask.side, mask.m) == (6, 0)
-        assert linops.SensingMatrix(entries=np.eye(4), kind="gaussian").side == 4
+        assert linops.SensingMatrix(entries=np.eye(4)).side == 4
 
 
 class TestMaskApply:
@@ -307,22 +310,29 @@ class TestMeasurementOperator:
     def mask(self, side):
         return linops.gen_mask(side, int(0.7 * side * side), seed=side + 1)
 
-    def operator(self, kind, side, scale):
+    def operator(self, matrix, side, scale):
         mask = self.mask(side)
-        a = linops.dct_sensing(side) if kind == "dct" else linops.gen_gaussian_sensing(side, mask.m, 1)
+        a = linops.dct_sensing(side) if matrix == "dct" else linops.gen_gaussian_sensing(side, mask.m, 1)
         return a, mask, linops.MeasurementOperator(a, mask, scale)
 
-    def test_form_is_chosen_from_kind_and_side(self):
-        assert self.operator("dct", 16, 1.0)[2].fast
+    def test_form_is_read_off_the_entries(self):
+        # the fast form needs a power-of-two side and the DCT's entries,
+        # wherever they come from; any other matrix takes the dense form
+        mask = self.mask(16)
+        dct = linops.dct_sensing(16).entries
+        fast = lambda entries: linops.MeasurementOperator(linops.SensingMatrix(entries=entries),
+                                                          mask).fast
+        assert fast(dct) and fast(dct.copy())
+        assert not fast(-dct)
         assert not self.operator("dct", 12, 1.0)[2].fast
         assert not self.operator("gaussian", 16, 1.0)[2].fast
 
-    @pytest.mark.parametrize("kind", ["dct", "gaussian"])
+    @pytest.mark.parametrize("matrix", ["dct", "gaussian"])
     @pytest.mark.parametrize("scale", [1.0, SCALE])
-    def test_adjoint_identity(self, kind, scale):
+    def test_adjoint_identity(self, matrix, scale):
         rng = np.random.default_rng(11)
         assert checks.adjoint_identity(
-            (self.operator(kind, side, scale)[2],
+            (self.operator(matrix, side, scale)[2],
              rng.standard_normal((side, side)), rng.standard_normal((side, side)))
             for side in (8, 16, 64)) <= 1e-10
 
