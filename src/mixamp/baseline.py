@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoise, linops
-from .exceptions import DomainError, SolverError
+from .exceptions import SolverError, check_block_side, check_choice, check_count, check_real
 from .solver import IterationTrace, TraceRecord, stopping_tol
 
 BASELINE_VARIANTS = ("group", "tv")
@@ -43,20 +43,10 @@ class BaselineConfig:
     tv_inner_iters: int = 20
 
     def __post_init__(self):
-        if not (self.lambda1 > 0 and self.lambda2 > 0):
-            raise DomainError("lambda1 and lambda2 must be positive")
-        if not self.rho > 0:
-            raise DomainError("rho must be positive")
-        denoise._check_count("max_iters", self.max_iters)
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        denoise._check_count("block_side", self.block_side)
-        denoise._check_count("tv_inner_iters", self.tv_inner_iters)
-
-
-def _check_variant(variant):
-    if variant not in BASELINE_VARIANTS:
-        raise DomainError(f"variant must be one of {BASELINE_VARIANTS}, got {variant!r}")
+        for name in ("lambda1", "lambda2", "rho", "tol"):
+            check_real(name, getattr(self, name), strict=True)
+        for name in ("max_iters", "block_side", "tv_inner_iters"):
+            check_count(name, getattr(self, name), 1)
 
 
 def _regularizer(xb, cfg, variant):
@@ -72,7 +62,7 @@ def objective_eval(xa, xb, op, y, cfg, variant):
     ``op`` is a linops.MeasurementOperator. Returns (F, R) with the data
     residual R = Y - P_Omega{A (Xa + Xb) A^T} that F was computed from.
     """
-    _check_variant(variant)
+    check_choice("variant", variant, BASELINE_VARIANTS)
     resid = y - op.forward(np.asarray(xa, dtype=float) + np.asarray(xb, dtype=float))
     data = 0.5 * cfg.rho * float((resid ** 2).sum())
     value = data + cfg.lambda1 * float(np.abs(xa).sum()) + cfg.lambda2 * _regularizer(xb, cfg, variant)
@@ -121,9 +111,9 @@ def _prox_b(v, step_weight, cfg, variant, tv_state=None):
 
 def baseline_solve(a, y, mask, cfg, variant):
     """Monotone accelerated proximal gradient; returns (xa, xb, trace)."""
-    _check_variant(variant)
+    check_choice("variant", variant, BASELINE_VARIANTS)
     if variant == "group":
-        denoise._check_block_side(a.side, cfg.block_side)
+        check_block_side(a.side, cfg.block_side)
     y = linops.masked_measurements(mask, y)
     op = linops.MeasurementOperator(a, mask)
     lip = estimate_lipschitz(op, cfg)
@@ -196,5 +186,6 @@ def baseline_solve(a, y, mask, cfg, variant):
             )
         )
         if accepted and tol_value <= cfg.tol:
+            trace.converged = True
             break
     return xa, xb, trace

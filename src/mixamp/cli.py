@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 solver divergence, 2 usage error.
 
 import argparse
 import json
-import math
-import numbers
 import os
 import sys
 import time
@@ -20,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import baseline, checks, data, denoise, linops, solver
-from .exceptions import MixAmpError, SolverDivergenceError
+from .exceptions import MixAmpError, SolverDivergenceError, check_choice, check_count, check_real
 
 # Calibrated front-end defaults per experiment case. The lambda pairs are
 # the reference values used for the corresponding comparison figures; tau
@@ -138,44 +136,34 @@ def _resolve_params(args):
     }
 
 
-_INT_PARAMS = ("side", "block", "seed", "max_iters")
-_REAL_PARAMS = ("sampling", "sparsity", "active_fraction", "tol", "tau_a", "tau_b",
-                "damping", "lambda1", "lambda2", "rho")
+# integer param -> its minimum; the derived seeds seed * 101 + k must be
+# valid RNG seeds, hence seed >= 0
+_INT_PARAMS = {"side": 2, "block": 1, "seed": 0, "max_iters": 1}
+# real param -> whether it must be > 0 (True) or >= 0 (False)
+_REAL_PARAMS = {"sampling": True, "sparsity": True, "active_fraction": False, "tol": True,
+                "tau_a": True, "tau_b": True, "damping": True, "lambda1": True,
+                "lambda2": True, "rho": True}
 _BOOL_PARAMS = ("disjoint", "record_timing")
 _CHOICE_PARAMS = {"case": CASES, "solver": SOLVERS}
 
 
-def _check_param_types(p):
-    """Reject a param of the wrong type, such as a manifest's "side": "64"."""
-    def bad(key, expected):
-        return MixAmpError(f"param {key} must be {expected}, got {p[key]!r}")
-
-    for key in _INT_PARAMS:
-        if isinstance(p[key], bool) or not isinstance(p[key], numbers.Integral):
-            raise bad(key, "an integer")
-    for key in _REAL_PARAMS:
-        if (isinstance(p[key], bool) or not isinstance(p[key], numbers.Real)
-                or not math.isfinite(p[key])):
-            raise bad(key, "a finite real number")
+def _validate_params(p):
+    """Check the type and sign of every param, such as a manifest's "side": "64",
+    whether or not the run uses it, and the sampling range no library object
+    checks; PhantomSpec and the configs check the other ranges."""
+    for key, minimum in _INT_PARAMS.items():
+        check_count(f"param {key}", p[key], minimum)
+    for key, strict in _REAL_PARAMS.items():
+        check_real(f"param {key}", p[key], strict)
     for key in _BOOL_PARAMS:
         if not isinstance(p[key], bool):
-            raise bad(key, "true or false")
+            raise MixAmpError(f"param {key} must be true or false, got {p[key]!r}")
     for key, choices in _CHOICE_PARAMS.items():
-        if p[key] not in choices:
-            raise bad(key, f"one of {', '.join(choices)}")
+        check_choice(f"param {key}", p[key], choices)
     if p["image"] is not None and not isinstance(p["image"], str):
-        raise bad("image", "a file path or null")
-
-
-def _validate_params(p):
-    """The run rules no library object checks; PhantomSpec and the configs check the rest."""
-    _check_param_types(p)
-    if p["block"] < 1:
-        raise MixAmpError(f"block must be >= 1, got {p['block']}")
-    if not 0.0 < p["sampling"] <= 1.0:
+        raise MixAmpError(f"param image must be a file path or null, got {p['image']!r}")
+    if p["sampling"] > 1.0:
         raise MixAmpError(f"sampling must lie in (0, 1], got {p['sampling']}")
-    if p["seed"] < 0:  # the derived seeds seed * 101 + k must be valid RNG seeds
-        raise MixAmpError(f"seed must be >= 0, got {p['seed']}")
 
 
 def build_truth(p):
@@ -307,6 +295,7 @@ def run_separation(p, out_dir):
             "xhat_b": f"xhat_b{suffix(name)}.pgm",
             "trace": f"trace{suffix(name)}.csv",
             "iters": len(trace),
+            "converged": trace.converged,
         }
         if name == "mixamp":
             manifest["outputs"][name].update(damping_final=trace.damping_final,
@@ -370,6 +359,19 @@ def _sweep_worker(task):
     return code, rows, None
 
 
+def _sweep_workers(n_points):
+    """Worker processes for a sweep: MIXAMP_THREADS (default 1), an integer
+    >= 1, capped at the number of points, since a process pool starts all of
+    its workers at once."""
+    text = os.environ.get("MIXAMP_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = text
+    check_count("MIXAMP_THREADS", workers, 1)
+    return min(workers, n_points)
+
+
 def cmd_sweep(args):
     base = _resolve_params(args)
     out = Path(args.out)
@@ -388,8 +390,8 @@ def cmd_sweep(args):
                                   f"with seed {seed} share the output directory {point}")
             points[point] = params
     tasks = [(params, str(point)) for point, params in points.items()]
+    workers = _sweep_workers(len(tasks))
     out.mkdir(parents=True, exist_ok=True)
-    workers = max(1, int(os.environ.get("MIXAMP_THREADS", "1")))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, ImageFormatError
+from .exceptions import (DimensionError, DomainError, ImageFormatError, check_block_side,
+                         check_choice, check_count, check_grid, check_real)
 
 PHANTOM_KINDS = ("shot_noise", "group_sparse")
 
@@ -32,16 +33,18 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in PHANTOM_KINDS:
-            raise DomainError(f"unknown phantom kind {self.kind!r}")
-        if self.side < 2:
-            raise DimensionError("side must be >= 2")
-        if self.kind == "shot_noise" and not 0.0 < self.sparsity <= 1.0:
-            raise DomainError(f"sparsity must lie in (0, 1], got {self.sparsity}")
-        if self.kind == "group_sparse" and self.block_side < 1:
-            raise DimensionError(f"block_side must be >= 1, got {self.block_side}")
-        if self.kind == "group_sparse" and not 0.0 <= self.active_fraction <= 1.0:
-            raise DomainError(f"active_fraction must lie in [0, 1], got {self.active_fraction}")
+        check_choice("kind", self.kind, PHANTOM_KINDS)
+        check_count("side", self.side, 2, DimensionError)
+        check_count("seed", self.seed, 0)
+        if self.kind == "shot_noise":
+            check_real("sparsity", self.sparsity, strict=True)
+            if self.sparsity > 1.0:
+                raise DomainError(f"sparsity must lie in (0, 1], got {self.sparsity}")
+        if self.kind == "group_sparse":
+            check_count("block_side", self.block_side, 1, DimensionError)
+            check_real("active_fraction", self.active_fraction, strict=False)
+            if self.active_fraction > 1.0:
+                raise DomainError(f"active_fraction must lie in [0, 1], got {self.active_fraction}")
 
 
 def gen_shot_noise(spec, forbidden=None):
@@ -50,8 +53,7 @@ def gen_shot_noise(spec, forbidden=None):
     ``forbidden`` optionally excludes a boolean region (used by the
     disjoint-support mixture mode).
     """
-    if spec.kind != "shot_noise":
-        raise DomainError(f"spec.kind must be 'shot_noise', got {spec.kind!r}")
+    check_choice("spec.kind", spec.kind, ("shot_noise",))
     rng = np.random.default_rng(spec.seed)
     n = spec.side * spec.side
     k = int(round(spec.sparsity * n))
@@ -71,12 +73,8 @@ def gen_shot_noise(spec, forbidden=None):
 
 def gen_group_sparse(spec):
     """QR-like binary tiling: each tile is all ones or all zeros."""
-    if spec.kind != "group_sparse":
-        raise DomainError(f"spec.kind must be 'group_sparse', got {spec.kind!r}")
-    if spec.side % spec.block_side != 0:
-        raise DimensionError(
-            f"side {spec.side} is not divisible by block side {spec.block_side}"
-        )
+    check_choice("spec.kind", spec.kind, ("group_sparse",))
+    check_block_side(spec.side, spec.block_side)
     rng = np.random.default_rng(spec.seed)
     nb = spec.side // spec.block_side
     n_tiles = nb * nb
@@ -90,8 +88,8 @@ def gen_group_sparse(spec):
 def gen_cartoon(side, seed=0):
     """Piecewise-constant scene in [0, 1]: a natural-image stand-in whose
     finite differences are sparse."""
-    if side < 2:
-        raise DimensionError("side must be >= 2")
+    check_count("side", side, 2, DimensionError)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     yy, xx = np.meshgrid(np.linspace(0, 1, side), np.linspace(0, 1, side), indexing="ij")
     img = np.where(yy < 0.55, 0.35, 0.55)  # flat sky over flat ground
@@ -169,9 +167,7 @@ def load_image_pgm(path):
 
 def save_image_pgm(grid, path):
     """Write a grid as binary P5: clamp to [0, 1], scale to 255, round."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise DimensionError(f"expected a square grid, got shape {grid.shape}")
+    grid = check_grid(grid)
     pixels = np.rint(np.clip(grid, 0.0, 1.0) * 255.0).astype(np.uint8)
     side = grid.shape[0]
     with open(path, "wb") as fh:

@@ -9,12 +9,12 @@ correction term of the message-passing solver.
 """
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError
+from .exceptions import (DimensionError, check_block_side, check_choice, check_count,
+                         check_grid, check_real)
 
 DENOISER_KINDS = ("soft", "block_soft", "tv_bregman")
 
@@ -27,12 +27,6 @@ _TV_IDENTITY_THR = 1e-12
 _TV_MU_PER_LAM = 2.0
 _TV_SWEEPS = 2
 _TV_PROBE_EPS = 1e-3
-
-
-def _check_count(name, value, minimum=1):
-    """Raise DomainError unless value is an integer >= minimum; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,14 +44,12 @@ class DenoiserSpec:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in DENOISER_KINDS:
-            raise DomainError(f"unknown denoiser kind {self.kind!r}")
-        _check_count("block_side", self.block_side, minimum=0)
-        if self.kind == "block_soft" and self.block_side < 1:
-            raise DimensionError("block_soft requires block_side >= 1")
-        _check_count("tv_inner_iters", self.tv_inner_iters)
-        if not self.tau > 0:
-            raise DomainError("tau must be positive")
+        check_choice("kind", self.kind, DENOISER_KINDS)
+        check_count("block_side", self.block_side, 0)
+        if self.kind == "block_soft":
+            check_count("block_side", self.block_side, 1, DimensionError)
+        check_count("tv_inner_iters", self.tv_inner_iters, 1)
+        check_real("tau", self.tau, strict=True)
 
 
 @dataclass(frozen=True)
@@ -91,17 +83,14 @@ class DenoiseOutput:
 
 def threshold_from_theta(theta, tau):
     """Amplitude-scale threshold tau * sqrt(theta) from the variance theta."""
-    if theta < 0:
-        raise DomainError(f"theta must be nonnegative, got {theta}")
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    check_real("theta", theta, strict=False)
+    check_real("tau", tau, strict=True)
     return tau * np.sqrt(theta)
 
 
 def soft_threshold(x, thr):
     """Entrywise sgn(x) * max(|x| - thr, 0); accepts scalars or arrays."""
-    if thr < 0:
-        raise DomainError(f"threshold must be nonnegative, got {thr}")
+    check_real("threshold", thr, strict=False)
     x = np.asarray(x, dtype=float)
     out = np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -109,20 +98,13 @@ def soft_threshold(x, thr):
 
 def soft_threshold_div(x, thr):
     """Average derivative (1/N) * #{|x_ij| > thr} of soft thresholding."""
-    if thr < 0:
-        raise DomainError(f"threshold must be nonnegative, got {thr}")
+    check_real("threshold", thr, strict=False)
     return float(np.mean((np.abs(np.asarray(x, dtype=float)) > thr).astype(float)))
-
-
-def _check_block_side(side, block_side):
-    """Raise DimensionError unless block_side tiles a grid of the given side."""
-    if side % block_side != 0:
-        raise DimensionError(f"grid side {side} is not divisible by block side {block_side}")
 
 
 def _blocks_view(x, block_side):
     side = x.shape[0]
-    _check_block_side(side, block_side)
+    check_block_side(side, block_side)
     nb = side // block_side
     # (block-row, block-col, i, j) view of the raster tiling
     return x.reshape(nb, block_side, nb, block_side).transpose(0, 2, 1, 3), nb
@@ -136,11 +118,8 @@ def block_soft_threshold(x, block_side, thr):
     exact average of the Jacobian diagonal: a surviving tile of B entries
     with radius r = ||x_B||_F contributes B * (1 - thr / r) + thr / r.
     """
-    if thr < 0:
-        raise DomainError(f"threshold must be nonnegative, got {thr}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionError(f"expected a square grid, got shape {x.shape}")
+    check_real("threshold", thr, strict=False)
+    x = check_grid(x, name="x")
     blocks, nb = _blocks_view(x, block_side)
     radii = np.sqrt((blocks ** 2).sum(axis=(2, 3)))
     safe = np.where(radii > 0, radii, 1.0)
@@ -165,9 +144,7 @@ def tv_norm(x):
 
     Replicate (Neumann) boundaries: no wraparound terms.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 2:
-        raise DimensionError(f"expected a square grid with side >= 2, got shape {x.shape}")
+    x = check_grid(x, name="x")
     return float(np.abs(_dh(x)).sum() + np.abs(_dv(x)).sum())
 
 
@@ -320,13 +297,9 @@ def tv_denoise_bregman(x, lam, spec, state=None, probe_seed=0):
     from ``probe_seed``; the probe solve starts from the same state as the
     estimate, so the probe is a finite difference of one map.
     """
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if spec.kind != "tv_bregman":
-        raise DomainError(f"spec.kind must be 'tv_bregman', got {spec.kind!r}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 2:
-        raise DimensionError(f"expected a square grid with side >= 2, got shape {x.shape}")
+    check_real("lam", lam, strict=True)
+    check_choice("spec.kind", spec.kind, ("tv_bregman",))
+    x = check_grid(x, name="x")
 
     iters = spec.tv_inner_iters
     u, converged, end = _tv_bregman_estimate(x, lam, iters, state)
@@ -345,8 +318,8 @@ def mc_divergence(eta, x, probe_seed, eps, n_probes=1, _precomputed=None):
     eta is any callable mapping grids to grids. ``_precomputed`` lets a
     caller that already evaluated eta(x) skip recomputing it.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    check_real("eps", eps, strict=True)
+    check_count("n_probes", n_probes, 1)
     x = np.asarray(x, dtype=float)
     base = eta(x) if _precomputed is None else _precomputed
     rng = np.random.default_rng(probe_seed)

@@ -11,28 +11,19 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft
 
-from .exceptions import (
-    DimensionError,
-    DomainError,
-    OracleScaleError,
-    UnsupportedSizeError,
-)
+from .exceptions import (DimensionError, DomainError, OracleScaleError, UnsupportedSizeError,
+                         check_count, check_grid)
 
 KRON_ORACLE_MAX_SIDE = 16
 
 
-def _check_side(side):
-    if not isinstance(side, (int, np.integer)) or side < 2:
-        raise DimensionError(f"grid side must be an integer >= 2, got {side!r}")
-
-
-def _check_grid(z, side=None, name="grid"):
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 2:
-        raise DimensionError(f"{name} must be a square 2D array with side >= 2, got shape {z.shape}")
-    if side is not None and z.shape[0] != side:
-        raise DimensionError(f"{name} side {z.shape[0]} does not match expected side {side}")
-    return z
+def _check_draw(side, m, seed):
+    """Check the side, sample count m and seed of a random draw on a side x side grid."""
+    check_count("side", side, 2, DimensionError)
+    check_count("m", m, 0, DimensionError)
+    if not 1 <= m <= side * side:
+        raise DimensionError(f"m must satisfy 1 <= m <= side^2, got m={m}, side={side}")
+    check_count("seed", seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +71,7 @@ class SensingMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _check_grid(self.entries, name="sensing matrix")
+        entries = check_grid(self.entries, name="sensing matrix")
         if not np.isfinite(entries).all():
             raise DomainError("sensing matrix entries must be finite")
         object.__setattr__(self, "entries", entries)
@@ -102,9 +93,7 @@ def gen_gaussian_sensing(side, m, seed):
     seed : int
         RNG seed; identical seeds give bit-identical matrices.
     """
-    _check_side(side)
-    if not 1 <= m <= side * side:
-        raise DimensionError(f"m must satisfy 1 <= m <= side^2, got m={m}, side={side}")
+    _check_draw(side, m, seed)
     rng = np.random.default_rng(seed)
     entries = rng.normal(0.0, 1.0 / np.sqrt(m), size=(side, side))
     return SensingMatrix(entries=entries)
@@ -117,7 +106,7 @@ def dct_sensing(side):
     Built once per side; the entries are read-only, so every caller, and
     MeasurementOperator's test for the fast form, shares one array.
     """
-    _check_side(side)
+    check_count("side", side, 2, DimensionError)
     entries = scipy.fft.dct(np.eye(side), axis=0, norm="ortho")
     entries.setflags(write=False)
     return SensingMatrix(entries=entries)
@@ -125,16 +114,14 @@ def dct_sensing(side):
 
 def identity_sensing(side):
     """Identity matrix; measurements reduce to masked samples of X."""
-    _check_side(side)
+    check_count("side", side, 2, DimensionError)
     return SensingMatrix(entries=np.eye(side))
 
 
 def gen_mask(side, m, seed):
     """Draw m distinct index pairs uniformly without replacement."""
-    _check_side(side)
+    _check_draw(side, m, seed)
     n = side * side
-    if not 1 <= m <= n:
-        raise DimensionError(f"m must satisfy 1 <= m <= side^2, got m={m}, side={side}")
     rng = np.random.default_rng(seed)
     grid = np.zeros(n, dtype=bool)
     grid[rng.choice(n, size=m, replace=False)] = True  # row-major flat indices
@@ -143,13 +130,13 @@ def gen_mask(side, m, seed):
 
 def full_mask(side):
     """Mask with Omega equal to the whole grid."""
-    _check_side(side)
+    check_count("side", side, 2, DimensionError)
     return SamplingMask(grid=np.ones((side, side), dtype=bool))
 
 
 def mask_apply(mask, z):
     """Null every entry of z outside Omega; idempotent."""
-    return _zero_unsampled(_check_grid(z, side=mask.side, name="z").copy(), mask)
+    return _zero_unsampled(check_grid(z, side=mask.side, name="z").copy(), mask)
 
 
 def masked_measurements(mask, y):
@@ -183,7 +170,7 @@ def forward(a, x, mask):
     O(N^{3/2}) multiply-adds. Solvers reach it through MeasurementOperator,
     which takes the fast cosine transform instead for DCT sensing.
     """
-    x = _check_grid(x, side=a.side, name="x")
+    x = check_grid(x, side=a.side, name="x")
     if mask.side != a.side:
         raise DimensionError(f"mask side {mask.side} does not match matrix side {a.side}")
     return _zero_unsampled(a.entries @ x @ a.entries.T, mask)
@@ -191,7 +178,7 @@ def forward(a, x, mask):
 
 def adjoint(a, r):
     """Adjoint of the measurement map for masked r: A^T R A."""
-    r = _check_grid(r, side=a.side, name="r")
+    r = check_grid(r, side=a.side, name="r")
     return a.entries.T @ r @ a.entries
 
 
@@ -235,7 +222,7 @@ def dct_fast_forward(x, mask):
     Power-of-two sides only. MeasurementOperator uses it, with
     dct_fast_adjoint, for every solver product under DCT sensing.
     """
-    x = _check_grid(x, name="x")
+    x = check_grid(x, name="x")
     side = x.shape[0]
     if not _is_power_of_two(side):
         raise UnsupportedSizeError(f"dct_fast_forward requires a power-of-two side, got {side}")
@@ -250,7 +237,7 @@ def dct_fast_adjoint(r):
     Equals adjoint() with the dct_sensing matrix to ~1e-12. Power-of-two sides
     only, like dct_fast_forward.
     """
-    r = _check_grid(r, name="r")
+    r = check_grid(r, name="r")
     side = r.shape[0]
     if not _is_power_of_two(side):
         raise UnsupportedSizeError(f"dct_fast_adjoint requires a power-of-two side, got {side}")
@@ -290,7 +277,7 @@ class MeasurementOperator:
         """(cA)^T R (cA) for masked r."""
         if not self.fast:
             return adjoint(self._a, r)
-        return self._scaled(dct_fast_adjoint(_check_grid(r, side=self.side, name="r")))
+        return self._scaled(dct_fast_adjoint(check_grid(r, side=self.side, name="r")))
 
     def _scaled(self, product):
         if self.gain != 1.0:

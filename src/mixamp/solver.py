@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import denoise, linops
-from .exceptions import DegenerateProblemError, DomainError, SolverDivergenceError
+from .exceptions import (DegenerateProblemError, DomainError, SolverDivergenceError,
+                         check_block_side, check_count, check_real)
 
 TRACE_COLUMNS = ("t", "theta", "tol", "residual_norm", "wall_ms")
 # A step is a blow-up when its theta exceeds this multiple of theta_0.
@@ -60,10 +61,10 @@ class MixAmpConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        denoise._check_count("max_iters", self.max_iters)
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
+        check_count("max_iters", self.max_iters, 1)
+        check_real("tol", self.tol, strict=True)
+        check_real("damping", self.damping, strict=True)
+        if self.damping > 1.0:
             raise DomainError("damping must lie in (0, 1]")
 
 
@@ -98,11 +99,14 @@ class TraceRecord:
 class IterationTrace:
     """One record per completed iteration, serializable to CSV.
 
-    A mixamp run also records the step it ended with (damping_final) and
-    how many times it backed off; neither is part of the CSV schema.
+    converged is set when the solver's stopping rule ended the run, and
+    stays False for a run that reached max_iters. A mixamp run also records
+    the step it ended with (damping_final) and how many times it backed
+    off. None of the three is part of the CSV schema.
     """
 
     records: list = field(default_factory=list)
+    converged: bool = False
     damping_final: float | None = None
     backoffs: int = 0
 
@@ -251,7 +255,7 @@ def mixamp_run(a, y, mask, cfg):
     """
     for spec in (cfg.denoiser_a, cfg.denoiser_b):
         if spec.kind == "block_soft":
-            denoise._check_block_side(a.side, spec.block_side)
+            check_block_side(a.side, spec.block_side)
     y, scale = normalize_problem(a, linops.masked_measurements(mask, y), mask)
     op = linops.MeasurementOperator(a, mask, scale)
 
@@ -292,5 +296,6 @@ def mixamp_run(a, y, mask, cfg):
             )
         )
         if tol_value <= cfg.tol:
+            trace.converged = True
             break
     return state.xa, state.xb, trace

@@ -132,6 +132,19 @@ class TestSeparate:
         assert outputs["backoffs"] >= 1
         assert outputs["damping_final"] == pytest.approx(0.7 ** outputs["backoffs"])
 
+    @pytest.mark.parametrize("argv, converged", [
+        # seed 0 at side 2 cycles through three states until max_iters
+        (["--side", "2", "--block", "1", "--sampling", "0.25", "--sparsity", "1.0"],
+         {"mixamp": False}),
+        ([], {"mixamp": True, "baseline": True}),
+    ], ids=["stalled", "default-group"])
+    def test_manifest_records_converged(self, tmp_path, argv, converged):
+        out = tmp_path / "c"
+        assert run_cli("separate", *argv, "--seed", "0", "--solver", "both", "--no-timing",
+                       "--out", str(out)) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert {name: outputs[name]["converged"] for name in converged} == converged
+
     def test_manifest_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema": "mixamp-run-v1", "params": {')
@@ -211,6 +224,41 @@ class TestSweep:
         out = tmp_path / "sw"
         assert run_cli("sweep", "--side", "16", *argv, "--out", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["two", "0", "1.5"])
+    def test_bad_thread_count_exit_2_before_any_output(self, tmp_path, monkeypatch, capsys,
+                                                       threads):
+        monkeypatch.setenv("MIXAMP_THREADS", threads)
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--side", "16", "--seeds", "0", "--sampling", "0.5",
+                       "--out", str(out)) == 2
+        assert not out.exists()
+        assert "MIXAMP_THREADS must be" in capsys.readouterr().err
+
+    def test_pool_is_capped_at_the_number_of_points(self, tmp_path, monkeypatch):
+        # a pool starts all of its workers at once, so a large MIXAMP_THREADS
+        # must not reach it; the recorder runs the points in this process
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setenv("MIXAMP_THREADS", "64")
+        assert run_cli("sweep", "--case", "group", "--side", "16", "--sampling", "0.6,0.8",
+                       "--seeds", "0", "--solver", "mixamp", "--max-iters", "20",
+                       "--out", str(tmp_path / "sw")) == 0
+        assert sizes == [2]
 
     @pytest.mark.parametrize("sampling,seeds", [
         ("0.5,0.50", "0"), ("0.5", "0,0"), ("0.1234561,0.1234564", "0"),

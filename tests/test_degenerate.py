@@ -5,7 +5,7 @@ never in another exception type."""
 import numpy as np
 import pytest
 
-from mixamp import baseline, cli, denoise, linops, solver
+from mixamp import baseline, cli, data, denoise, linops, solver
 from mixamp.exceptions import (
     DegenerateProblemError,
     DimensionError,
@@ -95,3 +95,48 @@ def test_degenerate_input(case, tmp_path):
         assert (type(err), cli._exit_code(err)) == expected
         return
     assert (_solve("mixamp", problem), _solve("baseline", problem)) == expected
+
+
+NAN, INF = float("nan"), float("inf")
+GRID = np.ones((4, 4))
+TV = denoise.DenoiserSpec(kind="tv_bregman")
+SOFT = denoise.DenoiserSpec(kind="soft")
+
+# Library calls with a bad argument, each with the error class it must raise.
+BAD_ARGUMENTS = {
+    "soft_threshold-nan": (lambda: denoise.soft_threshold(GRID, NAN), DomainError),
+    "soft_threshold_div-nan": (lambda: denoise.soft_threshold_div(GRID, NAN), DomainError),
+    "block_soft_threshold-nan": (lambda: denoise.block_soft_threshold(GRID, 2, NAN), DomainError),
+    "tv_denoise_bregman-lam-nan": (lambda: denoise.tv_denoise_bregman(GRID, NAN, TV), DomainError),
+    "tv_denoise_bregman-lam-inf": (lambda: denoise.tv_denoise_bregman(GRID, INF, TV), DomainError),
+    "mc_divergence-eps-nan": (lambda: denoise.mc_divergence(lambda v: v, GRID, 0, eps=NAN),
+                              DomainError),
+    "DenoiserSpec-tau-inf": (lambda: denoise.DenoiserSpec(kind="soft", tau=INF), DomainError),
+    "MixAmpConfig-tol-inf": (lambda: solver.MixAmpConfig(SOFT, SOFT, tol=INF), DomainError),
+    "BaselineConfig-rho-inf": (lambda: baseline.BaselineConfig(0.5, 1.2, rho=INF), DomainError),
+    "BaselineConfig-lambda1-inf": (lambda: baseline.BaselineConfig(INF, 1.2), DomainError),
+    "PhantomSpec-seed-negative": (lambda: data.PhantomSpec(kind="shot_noise", seed=-1),
+                                  DomainError),
+    "gen_mask-seed-negative": (lambda: linops.gen_mask(8, 10, -1), DomainError),
+    "gen_gaussian_sensing-seed-negative": (lambda: linops.gen_gaussian_sensing(8, 10, -1),
+                                           DomainError),
+    "PhantomSpec-side-float": (lambda: data.PhantomSpec(kind="shot_noise", side=8.5),
+                               DimensionError),
+    "PhantomSpec-side-str": (lambda: data.PhantomSpec(kind="shot_noise", side="8"),
+                             DimensionError),
+    "gen_mask-m-float": (lambda: linops.gen_mask(8, 10.5, 1), DimensionError),
+    "gen_cartoon-side-float": (lambda: data.gen_cartoon(8.5), DimensionError),
+    "PhantomSpec-sparsity-str": (lambda: data.PhantomSpec(kind="shot_noise", sparsity="0.5"),
+                                 DomainError),
+    "PhantomSpec-active_fraction-str": (
+        lambda: data.PhantomSpec(kind="group_sparse", active_fraction="0.5"), DomainError),
+    "MixAmpConfig-damping-str": (lambda: solver.MixAmpConfig(SOFT, SOFT, damping="0.5"),
+                                 DomainError),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_raises_its_error_class(case):
+    call, error = BAD_ARGUMENTS[case]
+    with pytest.raises(error):
+        call()

@@ -449,13 +449,18 @@ class TestConfigRejectsNaN:
         lambda: denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=float("nan")),
         lambda: denoise.DenoiserSpec(kind="block_soft", block_side=4.0),
         lambda: denoise.DenoiserSpec(kind="block_soft", block_side=float("nan")),
+        lambda: denoise.DenoiserSpec(kind="soft", tau=float("inf")),
+        lambda: solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT, tol=float("inf")),
+        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, rho=float("inf")),
+        lambda: baseline.BaselineConfig(lambda1=float("inf"), lambda2=1.2),
     ], ids=["DenoiserSpec.tau", "MixAmpConfig.tol", "BaselineConfig.rho", "BaselineConfig.lambda1",
             "MixAmpConfig.max_iters-nan", "MixAmpConfig.max_iters-float",
             "BaselineConfig.max_iters-nan", "BaselineConfig.max_iters-bool",
             "BaselineConfig.tv_inner_iters-float", "BaselineConfig.tv_inner_iters-zero",
             "BaselineConfig.block_side-zero", "DenoiserSpec.tv_inner_iters-nan",
             "DenoiserSpec.block_side-float",
-            "DenoiserSpec.block_side-nan"])
+            "DenoiserSpec.block_side-nan", "DenoiserSpec.tau-inf", "MixAmpConfig.tol-inf",
+            "BaselineConfig.rho-inf", "BaselineConfig.lambda1-inf"])
     def test_nan_is_a_domain_error(self, build):
         with pytest.raises(DomainError):
             build()
