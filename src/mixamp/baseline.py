@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import denoise, linops
+from . import denoise, linops, solver
 from .exceptions import SolverError, check_block_side, check_choice, check_count, check_real
-from .solver import IterationTrace, TraceRecord, stopping_tol
 
 BASELINE_VARIANTS = ("group", "tv")
 
@@ -74,11 +73,11 @@ def estimate_lipschitz(op, cfg):
 
     ``op`` is a linops.MeasurementOperator. The value is padded by 2% so the
     1/L step never overshoots. An operator in the fast DCT form has an
-    orthonormal matrix, so with a non-empty mask M*M = c^4 A^T P_Omega A is
-    c^4 times an orthogonal projection and the eigenvalue is 2 c^4 in
-    closed form. Every dense matrix is estimated by power iteration.
+    orthonormal matrix, so M*M = c^4 A^T P_Omega A is c^4 times an
+    orthogonal projection (a mask is never empty) and the eigenvalue is
+    2 c^4 in closed form. Every dense matrix is estimated by power iteration.
     """
-    if op.fast and op.mask.m > 0:
+    if op.fast:
         return cfg.rho * 2.0 * op.gain * op.gain * 1.02
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal((op.side, op.side))
@@ -133,7 +132,7 @@ def baseline_solve(a, y, mask, cfg, variant):
     # rx is the residual of the accepted state (xa, xb); its norm goes
     # into each trace record without another forward product
     fx, rx = objective_eval(xa, xb, op, y, cfg, variant)
-    trace = IterationTrace()
+    trace = solver.IterationTrace()
     reject_streak = 0
     plain_failures = 0
 
@@ -171,12 +170,12 @@ def baseline_solve(a, y, mask, cfg, variant):
             za = xa_new + (t_k / t_next) * (cand_a - xa_new) + ((t_k - 1.0) / t_next) * (xa_new - xa_prev)
             zb = xb_new + (t_k / t_next) * (cand_b - xb_new) + ((t_k - 1.0) / t_next) * (xb_new - xb_prev)
 
-        tol_value = stopping_tol((xa, xb), (xa_new, xb_new))
+        tol_value = solver.stopping_tol((xa, xb), (xa_new, xb_new))
         resid_norm = float(np.linalg.norm(r_new))
         xa_prev, xb_prev = xa, xb
         xa, xb, fx, rx, t_k = xa_new, xb_new, f_new, r_new, t_next
         trace.append(
-            TraceRecord(
+            solver.TraceRecord(
                 t=it,
                 theta=resid_norm * resid_norm / mask.m,
                 tol_value=tol_value,

@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import baseline, checks, data, denoise, linops, solver
-from .exceptions import MixAmpError, SolverDivergenceError, check_choice, check_count, check_real
+from .exceptions import (DimensionError, MixAmpError, SolverDivergenceError, UnsupportedSizeError,
+                         check_choice, check_count, check_real)
 
 # Calibrated front-end defaults per experiment case. The lambda pairs are
 # the reference values used for the corresponding comparison figures; tau
@@ -34,6 +35,10 @@ TV_INNER_ITERS = 5
 MANIFEST_SCHEMA = "mixamp-run-v1"
 CASES = tuple(CASE_DEFAULTS)
 SOLVERS = ("mixamp", "baseline", "both")
+# Peak working set of one run, in side x side float64 grids: the peak RSS
+# of `separate --solver both` above a bare import was 24-28 grids for the
+# group case and 56-59 for the tv case, at sides 256 and 512.
+WORKING_SET_GRIDS = 64
 
 
 def _list_of(convert, what):
@@ -147,10 +152,32 @@ _BOOL_PARAMS = ("disjoint", "record_timing")
 _CHOICE_PARAMS = {"case": CASES, "solver": SOLVERS}
 
 
+def _available_memory():
+    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except FileNotFoundError:
+        pass
+    return None
+
+
+def _sample_count(p):
+    """m = round(sampling * side^2), the number of samples of a run; at least 1."""
+    m = int(round(p["sampling"] * p["side"] * p["side"]))
+    if m < 1:
+        raise DimensionError(f"sampling {p['sampling']:g} at side {p['side']} rounds to m = 0 "
+                             f"samples; m must be >= 1")
+    return m
+
+
 def _validate_params(p):
     """Check the type and sign of every param, such as a manifest's "side": "64",
-    whether or not the run uses it, and the sampling range no library object
-    checks; PhantomSpec and the configs check the other ranges."""
+    whether or not the run uses it, the sampling range and sample count no
+    library object checks, and that the run's working set fits in available
+    memory; PhantomSpec and the configs check the other ranges."""
     for key, minimum in _INT_PARAMS.items():
         check_count(f"param {key}", p[key], minimum)
     for key, strict in _REAL_PARAMS.items():
@@ -164,6 +191,12 @@ def _validate_params(p):
         raise MixAmpError(f"param image must be a file path or null, got {p['image']!r}")
     if p["sampling"] > 1.0:
         raise MixAmpError(f"sampling must lie in (0, 1], got {p['sampling']}")
+    _sample_count(p)
+    need = WORKING_SET_GRIDS * 8 * p["side"] * p["side"]
+    available = _available_memory()
+    if available is not None and need > available:
+        raise UnsupportedSizeError(f"side {p['side']} needs about {need / 2**20:.0f} MiB, "
+                                   f"more than the {available / 2**20:.0f} MiB available")
 
 
 def build_truth(p):
@@ -205,7 +238,7 @@ def build_problem(p):
     """Ground truth, sensing matrix, mask, and measurements for one run."""
     xa_true, xb_true = build_truth(p)
     side = p["side"]
-    m = int(round(p["sampling"] * side * side))
+    m = _sample_count(p)
     seed = p["seed"]
     a = linops.gen_gaussian_sensing(side, m, seed=seed * 101 + 97)
     mask = linops.gen_mask(side, m, seed=seed * 101 + 31)
@@ -379,8 +412,7 @@ def cmd_sweep(args):
     for sampling in args.sampling:
         for seed in args.seeds:
             params = dict(base, sampling=sampling, seed=seed)
-            # every rule but the sample count fails the sweep before anything
-            # is written; a rate that rounds to no samples fails its own point
+            # every rule fails the sweep before anything is written
             _validate_params(params)
             _solver_configs(params)
             build_truth(params)

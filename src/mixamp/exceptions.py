@@ -6,6 +6,8 @@ same code as a CLI flag or manifest value: check_count (an integer >= a
 minimum; DimensionError for a size, DomainError otherwise), check_real (a
 finite real, > 0 or >= 0), check_choice, check_grid (a square 2D array)
 and check_block_side (a block side that tiles the grid).
+
+A size that a routine does not take is an UnsupportedSizeError, whatever the routine.
 """
 
 import numbers
@@ -27,12 +29,10 @@ class DomainError(MixAmpError, ValueError):
     """A scalar parameter lies outside its admissible domain."""
 
 
-class OracleScaleError(MixAmpError, ValueError):
-    """The dense Kronecker oracle was asked for a problem too large to build."""
-
-
 class UnsupportedSizeError(MixAmpError, ValueError):
-    """The fast-transform path only supports power-of-two grid sides."""
+    """A routine was asked for a size it does not take: the dense Kronecker
+    oracle above side 16, the fast DCT at a side that is not a power of
+    two, or a CLI run whose working set does not fit in available memory."""
 
 
 class ImageFormatError(MixAmpError, ValueError):
@@ -40,7 +40,8 @@ class ImageFormatError(MixAmpError, ValueError):
 
 
 class DegenerateProblemError(MixAmpError, ValueError):
-    """The measurement setup carries no usable information (e.g. empty mask)."""
+    """The measurement setup carries no usable information: a mask with no
+    samples or an all-zero sensing matrix, rejected when it is built."""
 
 
 class SolverDivergenceError(MixAmpError, RuntimeError):
@@ -89,10 +90,10 @@ def check_choice(name, value, choices):
         raise DomainError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 
-def check_grid(z, side=None, name="grid"):
-    """z as a float array; DimensionError unless it is square and 2D with
-    side >= 2, and of the given side if one is named."""
-    z = np.asarray(z, dtype=float)
+def check_grid(z, side=None, name="grid", dtype=float):
+    """z as an array of dtype; DimensionError unless it is square and 2D
+    with side >= 2, and of the given side if one is named."""
+    z = np.asarray(z, dtype=dtype)
     if z.ndim != 2 or z.shape[0] != z.shape[1] or z.shape[0] < 2:
         raise DimensionError(f"{name} must be a square 2D array with side >= 2, got shape {z.shape}")
     if side is not None and z.shape[0] != side:

@@ -11,8 +11,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft
 
-from .exceptions import (DimensionError, DomainError, OracleScaleError, UnsupportedSizeError,
-                         check_count, check_grid)
+from .exceptions import (DegenerateProblemError, DimensionError, DomainError,
+                         UnsupportedSizeError, check_count, check_grid)
 
 KRON_ORACLE_MAX_SIDE = 16
 
@@ -32,11 +32,20 @@ class SamplingMask:
 
     ``grid`` is the boolean indicator of Omega and the only stored fact:
     the side is its shape, m = |Omega| its count of True entries, and the
-    (row, col) pairs of Omega are ``np.argwhere(grid)``. It is treated as
-    immutable: ``m`` and ``unsampled`` are derived from it once and cached.
+    (row, col) pairs of Omega are ``np.argwhere(grid)``. It is checked
+    once, here: a square 2D array of side >= 2 (DimensionError), stored
+    as bool, with at least one sample (DegenerateProblemError). It is
+    treated as immutable: ``m`` and ``unsampled`` are derived from it once
+    and cached.
     """
 
     grid: np.ndarray
+
+    def __post_init__(self):
+        grid = check_grid(self.grid, name="mask grid", dtype=bool)
+        if not grid.any():
+            raise DegenerateProblemError("mask holds no samples")
+        object.__setattr__(self, "grid", grid)
 
     @property
     def side(self):
@@ -65,7 +74,8 @@ class SensingMatrix:
     ``entries`` is the only stored fact: the side is its shape, and
     MeasurementOperator reads its fast DCT form off the values. The
     entries are checked once, here: a square 2D float array of side >= 2
-    (DimensionError) with finite values (DomainError).
+    (DimensionError) with finite values (DomainError), not all zero
+    (DegenerateProblemError).
     """
 
     entries: np.ndarray
@@ -74,6 +84,8 @@ class SensingMatrix:
         entries = check_grid(self.entries, name="sensing matrix")
         if not np.isfinite(entries).all():
             raise DomainError("sensing matrix entries must be finite")
+        if not entries.any():
+            raise DegenerateProblemError("sensing matrix is identically zero")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -191,7 +203,7 @@ def kron_forward_oracle(a, xvec, maskvec):
     column-major indices of Omega.
     """
     if a.side > KRON_ORACLE_MAX_SIDE:
-        raise OracleScaleError(
+        raise UnsupportedSizeError(
             f"kron oracle limited to side <= {KRON_ORACLE_MAX_SIDE}, got {a.side}"
         )
     xvec = np.asarray(xvec, dtype=float).ravel()

@@ -134,8 +134,6 @@ class IterationTrace:
 
 def mixamp_init(y, mask):
     """Initial state: Xa = Xb = 0, R = Y, theta = ||Y||_F^2 / M."""
-    if mask.m == 0:
-        raise DegenerateProblemError("mask holds no samples")
     y = linops.mask_apply(mask, y)
     theta = float((y ** 2).sum() / mask.m)
     zero = np.zeros_like(y)
@@ -232,11 +230,7 @@ def normalize_problem(a, y, mask):
     Returns (c^2 Y, c); a solver passes the unscaled matrix and c to
     linops.MeasurementOperator, which applies the scale.
     """
-    if mask.m == 0:
-        raise DegenerateProblemError("mask holds no samples")
     q = float(np.mean((a.entries ** 2).sum(axis=0)))
-    if q == 0.0:
-        raise DegenerateProblemError("sensing matrix is identically zero")
     n = a.side * a.side
     c = (n / mask.m) ** 0.25 / np.sqrt(q)
     return (c * c) * y, c

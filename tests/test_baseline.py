@@ -137,13 +137,17 @@ class TestLipschitz:
         op.forward = op.adjoint = None  # any product would raise
         assert baseline.estimate_lipschitz(op, cfg) == cfg.rho * 2.0 * 1.02
 
-    def test_empty_mask_is_a_solver_error(self):
-        empty = linops.SamplingMask(grid=np.zeros((8, 8), dtype=bool))
+    def test_zero_operator_is_a_solver_error(self):
+        # a non-zero matrix and a non-empty mask can still compose to zero:
+        # A X A^T lives on entry (0, 0), which the mask does not sample
+        corner = np.zeros((8, 8))
+        corner[0, 0] = 1.0
+        a = linops.SensingMatrix(entries=corner)
+        mask = linops.SamplingMask(grid=corner == 0.0)
         cfg = baseline.BaselineConfig(**CFG_GROUP)
-        assert baseline.estimate_lipschitz(
-            linops.MeasurementOperator(linops.dct_sensing(8), empty), cfg) == 0.0
-        with pytest.raises(SolverError):
-            baseline.baseline_solve(linops.dct_sensing(8), np.zeros((8, 8)), empty, cfg, "group")
+        assert baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask), cfg) == 0.0
+        with pytest.raises(SolverError, match="composed operator is identically zero"):
+            baseline.baseline_solve(a, np.ones((8, 8)), mask, cfg, "group")
 
 
 class TestBaselineSolve:

@@ -190,20 +190,20 @@ class TestSweep:
         assert seq == par
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failed_point_keeps_finished_rows(self, tmp_path, monkeypatch, capsys, threads):
-        # M/N 0.001 at side 16 samples no entry: that point fails, the others stay
+    def test_failed_point_keeps_finished_rows(self, tmp_path, monkeypatch, threads):
+        # at side 2 seed 1 diverges: that point fails with its partial trace,
+        # and seed 0 keeps its row
         monkeypatch.setenv("MIXAMP_THREADS", threads)
         out = tmp_path / "sw"
         code = run_cli(
-            "sweep", "--case", "group", "--side", "16", "--sampling", "0.5,0.001",
-            "--seeds", "0,1", "--solver", "mixamp", "--max-iters", "20", "--out", str(out),
+            "sweep", "--case", "group", "--side", "2", "--block", "1", "--sparsity", "1.0",
+            "--sampling", "0.25", "--seeds", "0,1", "--solver", "mixamp", "--max-iters", "20",
+            "--out", str(out),
         )
-        assert code == 2
+        assert code == 1
         rows = data.read_metrics_csv(out / "sweep_metrics.csv")
-        assert [(r["m_over_n"], r["seed"]) for r in rows] == [("0.5", "0"), ("0.5", "1")]
-        err = capsys.readouterr().err
-        for seed in (0, 1):
-            assert f"sampling=0.001 seed={seed} failed: m must satisfy" in err
+        assert [(r["m_over_n"], r["seed"]) for r in rows] == [("0.25", "0")]
+        assert (out / "s0.25_seed1" / "trace.csv").exists()
 
     def test_empty_sampling_list_exit_2(self, tmp_path):
         assert run_cli("sweep", "--sampling", "", "--out", str(tmp_path / "x")) == 2
@@ -219,7 +219,8 @@ class TestSweep:
         ["--sparsity", "2"],
         ["--case", "group", "--block", "3"],
         ["--sparsity", "0.001"],
-    ], ids=["tau-a", "seed", "max-iters", "sparsity", "block", "zero-truth"])
+        ["--sampling", "0.5,0.001"],
+    ], ids=["tau-a", "seed", "max-iters", "sparsity", "block", "zero-truth", "no-samples"])
     def test_bad_flag_exit_2_before_any_output(self, tmp_path, argv):
         out = tmp_path / "sw"
         assert run_cli("sweep", "--side", "16", *argv, "--out", str(out)) == 2
@@ -353,6 +354,33 @@ class TestProblemConstruction:
         assert np.array_equal(a1.entries, a2.entries)
         assert np.array_equal(m1.grid, m2.grid)
         assert np.array_equal(y1, y2)
+
+
+class TestSizeLimits:
+    def test_no_samples_exit_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("separate", "--side", "2", "--block", "1", "--sparsity", "1.0",
+                       "--sampling", "0.1", "--out", str(out)) == 2
+        assert "sampling 0.1 at side 2 rounds to m = 0 samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_side_beyond_memory_exit_2_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # the reader stands in for /proc/meminfo, so no huge side is ever allocated
+        monkeypatch.setattr(cli, "_available_memory", lambda: 2 ** 30)
+        out = tmp_path / "x"
+        assert run_cli("separate", "--side", "100000", "--out", str(out)) == 2
+        assert "side 100000 needs about" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("available", [2 ** 30, None], ids=["fits", "unknown"])
+    def test_side_within_memory_runs(self, tmp_path, monkeypatch, available):
+        monkeypatch.setattr(cli, "_available_memory", lambda: available)
+        assert run_cli("separate", "--side", "16", "--max-iters", "5",
+                       "--out", str(tmp_path / "x")) == 0
+
+    def test_available_memory_is_bytes_or_unknown(self):
+        available = cli._available_memory()
+        assert available is None or (isinstance(available, int) and available > 0)
 
 
 class TestManifestParamTypes:

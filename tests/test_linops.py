@@ -7,7 +7,7 @@ import pytest
 import scipy.fft
 
 from mixamp import checks, linops
-from mixamp.exceptions import DimensionError, OracleScaleError, UnsupportedSizeError
+from mixamp.exceptions import DegenerateProblemError, DimensionError, UnsupportedSizeError
 
 
 class TestGaussianSensing:
@@ -91,9 +91,28 @@ class TestMask:
         names = lambda cls: tuple(f.name for f in dataclasses.fields(cls))
         assert names(linops.SensingMatrix) == ("entries",)
         assert names(linops.SamplingMask) == ("grid",)
-        mask = linops.SamplingMask(grid=np.zeros((6, 6), dtype=bool))
-        assert (mask.side, mask.m) == (6, 0)
+        mask = linops.SamplingMask(grid=np.eye(6, dtype=bool))
+        assert (mask.side, mask.m) == (6, 6)
         assert linops.SensingMatrix(entries=np.eye(4)).side == 4
+
+    def test_grid_stored_as_bool(self):
+        # an integer grid is an indicator, not a bit pattern to invert
+        mask = linops.SamplingMask(grid=np.array([[1, 0], [0, 1]]))
+        assert mask.grid.dtype == bool and mask.m == 2
+        assert np.array_equal(linops.mask_apply(mask, np.ones((2, 2))), np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4,), (1, 1)], ids=["4x5", "1d", "1x1"])
+    def test_grid_not_square_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionError, match="mask grid must be a square 2D array"):
+            linops.SamplingMask(grid=np.ones(shape, dtype=bool))
+
+    def test_empty_grid_is_degenerate(self):
+        with pytest.raises(DegenerateProblemError, match="mask holds no samples"):
+            linops.SamplingMask(grid=np.zeros((4, 4), dtype=bool))
+
+    def test_zero_matrix_is_degenerate(self):
+        with pytest.raises(DegenerateProblemError, match="sensing matrix is identically zero"):
+            linops.SensingMatrix(entries=np.zeros((4, 4)))
 
 
 class TestMaskApply:
@@ -205,7 +224,7 @@ class TestKronOracle:
 
     def test_oracle_scale_guard(self):
         a = linops.gen_gaussian_sensing(32, 100, seed=0)
-        with pytest.raises(OracleScaleError):
+        with pytest.raises(UnsupportedSizeError, match="kron oracle limited to side <= 16"):
             linops.kron_forward_oracle(a, np.zeros(32 * 32), np.arange(10))
 
 
