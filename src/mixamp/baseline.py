@@ -13,6 +13,15 @@ only when it does not increase the objective, so the recorded objective
 sequence never rises. A long streak of rejected candidates resets the
 momentum; if plain descent steps keep failing afterwards the step size
 is wrong and a SolverError is raised.
+
+Each iteration applies the measurement map once each way: the adjoint
+for the gradient and the forward product for the candidate's objective.
+The residual is linear in the iterate, so the residual of the
+extrapolated point is the same combination of the residuals of the
+candidate, the state and the previous state, each from its own direct
+product, as the point is of them (the product bookkeeping of TFOCS,
+Becker, Candes & Grant 2011). A rejected candidate leaves the state and
+its residual as they were, so its trace record reuses them.
 """
 
 import time
@@ -108,6 +117,18 @@ def _prox_b(v, step_weight, cfg, variant, tv_state=None):
     return u, state
 
 
+def _extrapolate(new, cand, prev, alpha, beta):
+    """FISTA's extrapolated point new + alpha (cand - new) + beta (new - prev),
+    built in two fresh arrays in that order of operations."""
+    out = cand - new
+    out *= alpha
+    out += new
+    push = new - prev
+    push *= beta
+    out += push
+    return out
+
+
 def baseline_solve(a, y, mask, cfg, variant):
     """Monotone accelerated proximal gradient; returns (xa, xb, trace)."""
     check_choice("variant", variant, BASELINE_VARIANTS)
@@ -129,28 +150,38 @@ def baseline_solve(a, y, mask, cfg, variant):
     # (inexact proximal gradient with shrinking prox errors; lam, and so mu,
     # stays fixed)
     tv_state = None
-    # rx is the residual of the accepted state (xa, xb); its norm goes
-    # into each trace record without another forward product
+    # rx, r_prev and rz are the residuals of the accepted state (xa, xb), of
+    # (xa_prev, xb_prev) and of the extrapolated point (za, zb). rx and r_prev
+    # come from direct products; rz combines them as (za, zb) combines the
+    # states, so the gradient costs one adjoint and no forward product
     fx, rx = objective_eval(xa, xb, op, y, cfg, variant)
+    r_prev = rz = rx
+    resid_norm = float(np.linalg.norm(rx))
     trace = solver.IterationTrace()
     reject_streak = 0
     plain_failures = 0
 
     for it in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
-        grad = -cfg.rho * op.adjoint(y - op.forward(za + zb))
-        cand_a = denoise.soft_threshold(za - grad / lip, cfg.lambda1 / lip)
-        cand_b, tv_state = _prox_b(zb - grad / lip, cfg.lambda2 / lip, cfg, variant, tv_state)
+        step = op.adjoint(rz)  # the 1/L gradient step is -rho A*(rz) / L
+        step *= -cfg.rho
+        step /= lip
+        cand_a = denoise.soft_threshold(za - step, cfg.lambda1 / lip)
+        cand_b, tv_state = _prox_b(zb - step, cfg.lambda2 / lip, cfg, variant, tv_state)
         f_cand, r_cand = objective_eval(cand_a, cand_b, op, y, cfg, variant)
 
         restarted = t_k == 1.0 and it > 1
         accepted = f_cand <= fx + _ACCEPT_SLACK
         if accepted:
             xa_new, xb_new, f_new, r_new = cand_a, cand_b, f_cand, r_cand
+            tol_value = solver.stopping_tol((xa, xb), (xa_new, xb_new))
+            resid_norm = float(np.linalg.norm(r_new))
             reject_streak = 0
             plain_failures = 0
         else:
+            # the state, and so its residual norm, stays as it was
             xa_new, xb_new, f_new, r_new = xa, xb, fx, rx
+            tol_value = 0.0
             reject_streak += 1
             if restarted:
                 # a rejected step from a fresh restart is a plain proximal
@@ -163,16 +194,16 @@ def baseline_solve(a, y, mask, cfg, variant):
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         if reject_streak >= _RESTART_PATIENCE:
-            za, zb = xa_new, xb_new
+            za, zb, rz = xa_new, xb_new, r_new
             t_next = 1.0
             reject_streak = 0
         else:
-            za = xa_new + (t_k / t_next) * (cand_a - xa_new) + ((t_k - 1.0) / t_next) * (xa_new - xa_prev)
-            zb = xb_new + (t_k / t_next) * (cand_b - xb_new) + ((t_k - 1.0) / t_next) * (xb_new - xb_prev)
+            alpha, beta = t_k / t_next, (t_k - 1.0) / t_next
+            za = _extrapolate(xa_new, cand_a, xa_prev, alpha, beta)
+            zb = _extrapolate(xb_new, cand_b, xb_prev, alpha, beta)
+            rz = _extrapolate(r_new, r_cand, r_prev, alpha, beta)
 
-        tol_value = solver.stopping_tol((xa, xb), (xa_new, xb_new))
-        resid_norm = float(np.linalg.norm(r_new))
-        xa_prev, xb_prev = xa, xb
+        xa_prev, xb_prev, r_prev = xa, xb, rx
         xa, xb, fx, rx, t_k = xa_new, xb_new, f_new, r_new, t_next
         trace.append(
             solver.TraceRecord(

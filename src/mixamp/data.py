@@ -199,8 +199,3 @@ def write_metrics_csv(path, rows):
         writer.writeheader()
         for row in rows:
             writer.writerow({key: row[key] for key in METRICS_COLUMNS})
-
-
-def read_metrics_csv(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

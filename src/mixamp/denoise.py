@@ -89,10 +89,14 @@ def threshold_from_theta(theta, tau):
 
 
 def soft_threshold(x, thr):
-    """Entrywise sgn(x) * max(|x| - thr, 0); accepts scalars or arrays."""
+    """Entrywise sgn(x) * max(|x| - thr, 0); accepts scalars or arrays.
+
+    Computed as x - clip(x, -thr, thr): the same values, NaN and inf
+    included, with +0.0 where the product form gave -0.0.
+    """
     check_real("threshold", thr, strict=False)
     x = np.asarray(x, dtype=float)
-    out = np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
+    out = x - np.clip(x, -thr, thr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,6 +17,13 @@ from .exceptions import (DegenerateProblemError, DimensionError, DomainError,
 KRON_ORACLE_MAX_SIDE = 16
 
 
+def _owned(array):
+    """A read-only copy of array, so no later write by the caller reaches it."""
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def _check_draw(side, m, seed):
     """Check the side, sample count m and seed of a random draw on a side x side grid."""
     check_count("side", side, 2, DimensionError)
@@ -34,15 +41,16 @@ class SamplingMask:
     the side is its shape, m = |Omega| its count of True entries, and the
     (row, col) pairs of Omega are ``np.argwhere(grid)``. It is checked
     once, here: a square 2D array of side >= 2 (DimensionError), stored
-    as bool, with at least one sample (DegenerateProblemError). It is
-    treated as immutable: ``m`` and ``unsampled`` are derived from it once
-    and cached.
+    as a read-only bool copy, with at least one sample
+    (DegenerateProblemError). A later write into the caller's array does
+    not reach the mask, so ``m`` and ``unsampled``, derived once and
+    cached, stay true to it.
     """
 
     grid: np.ndarray
 
     def __post_init__(self):
-        grid = check_grid(self.grid, name="mask grid", dtype=bool)
+        grid = _owned(check_grid(self.grid, name="mask grid", dtype=bool))
         if not grid.any():
             raise DegenerateProblemError("mask holds no samples")
         object.__setattr__(self, "grid", grid)
@@ -75,13 +83,14 @@ class SensingMatrix:
     MeasurementOperator reads its fast DCT form off the values. The
     entries are checked once, here: a square 2D float array of side >= 2
     (DimensionError) with finite values (DomainError), not all zero
-    (DegenerateProblemError).
+    (DegenerateProblemError). The matrix stores a read-only copy, so no
+    later write by the caller can undo the check.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = check_grid(self.entries, name="sensing matrix")
+        entries = _owned(check_grid(self.entries, name="sensing matrix"))
         if not np.isfinite(entries).all():
             raise DomainError("sensing matrix entries must be finite")
         if not entries.any():
@@ -115,19 +124,11 @@ def gen_gaussian_sensing(side, m, seed):
 def dct_sensing(side):
     """Orthonormal DCT-II matrix: A X A^T equals the 2D DCT of X.
 
-    Built once per side; the entries are read-only, so every caller, and
-    MeasurementOperator's test for the fast form, shares one array.
+    Built once per side, so every caller, and MeasurementOperator's test
+    for the fast form, shares one read-only array.
     """
     check_count("side", side, 2, DimensionError)
-    entries = scipy.fft.dct(np.eye(side), axis=0, norm="ortho")
-    entries.setflags(write=False)
-    return SensingMatrix(entries=entries)
-
-
-def identity_sensing(side):
-    """Identity matrix; measurements reduce to masked samples of X."""
-    check_count("side", side, 2, DimensionError)
-    return SensingMatrix(entries=np.eye(side))
+    return SensingMatrix(entries=scipy.fft.dct(np.eye(side), axis=0, norm="ortho"))
 
 
 def gen_mask(side, m, seed):

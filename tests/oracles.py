@@ -2,15 +2,32 @@
 
 Everything here is deliberately brute force (numerical minimization,
 subgradient descent, explicit loops) and shares no code path with the
-library functions it checks. The references that `mixamp selfcheck` runs
+library functions it checks; reference_fista names the pieces of
+mixamp.baseline it borrows. The references that `mixamp selfcheck` runs
 as well (grid_prox_abs, fd_divergence and the kink and radius nudges)
 live in mixamp.checks; this module holds the rest: numeric_prox_frobenius,
-tv_norm_loops, subgrad_descent_tv, tv_bregman_reference and the straight_line_*
-recomputations.
+tv_norm_loops, subgrad_descent_tv, tv_bregman_reference, the straight_line_*
+recomputations and reference_fista. It also holds the two helpers only the
+tests need: identity_sensing and read_metrics_csv.
 """
+
+import csv
 
 import numpy as np
 from scipy.optimize import minimize
+
+from mixamp import baseline, denoise, linops, solver
+
+
+def identity_sensing(side):
+    """Identity matrix; measurements reduce to masked samples of X."""
+    return linops.SensingMatrix(entries=np.eye(side))
+
+
+def read_metrics_csv(path):
+    """The rows of a metrics CSV as dicts of strings."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def numeric_prox_frobenius(block, thr):
@@ -186,3 +203,42 @@ def straight_line_psnr(reference, estimate):
         return float("inf")
     return 10.0 * np.log10(peak * peak / mse)
 
+
+def reference_fista(a, y, mask, cfg, variant):
+    """Straight-line monotone FISTA that recomputes the residual of the
+    extrapolated point by a forward product at every iteration.
+
+    Takes the objective, the step and the two proxes from mixamp.baseline,
+    so it differs from baseline_solve only in how that residual is formed.
+    Returns (xa, xb, objectives, accepted), one entry per iteration.
+    """
+    y = linops.mask_apply(mask, y)
+    op = linops.MeasurementOperator(a, mask)
+    lip = baseline.estimate_lipschitz(op, cfg)
+    xa = xb = xa_prev = xb_prev = za = zb = np.zeros((a.side, a.side))
+    fx, _ = baseline.objective_eval(xa, xb, op, y, cfg, variant)
+    t_k, streak, tv_state = 1.0, 0, None
+    objectives, accepted = [], []
+    for _ in range(cfg.max_iters):
+        grad = -cfg.rho * op.adjoint(y - op.forward(za + zb))
+        cand_a = denoise.soft_threshold(za - grad / lip, cfg.lambda1 / lip)
+        cand_b, tv_state = baseline._prox_b(zb - grad / lip, cfg.lambda2 / lip, cfg, variant,
+                                            tv_state)
+        f_cand, _ = baseline.objective_eval(cand_a, cand_b, op, y, cfg, variant)
+        keep = f_cand <= fx + baseline._ACCEPT_SLACK
+        xa_new, xb_new, f_new = (cand_a, cand_b, f_cand) if keep else (xa, xb, fx)
+        streak = 0 if keep else streak + 1
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+        if streak >= baseline._RESTART_PATIENCE:
+            za, zb, t_next, streak = xa_new, xb_new, 1.0, 0
+        else:
+            za = xa_new + (t_k / t_next) * (cand_a - xa_new) + ((t_k - 1.0) / t_next) * (xa_new - xa_prev)
+            zb = xb_new + (t_k / t_next) * (cand_b - xb_new) + ((t_k - 1.0) / t_next) * (xb_new - xb_prev)
+        tol_value = solver.stopping_tol((xa, xb), (xa_new, xb_new))
+        xa_prev, xb_prev = xa, xb
+        xa, xb, fx, t_k = xa_new, xb_new, f_new, t_next
+        objectives.append(fx)
+        accepted.append(keep)
+        if keep and tol_value <= cfg.tol:
+            break
+    return xa, xb, objectives, accepted

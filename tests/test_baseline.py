@@ -8,6 +8,7 @@ from mixamp import baseline, data, denoise, linops
 from mixamp.exceptions import DomainError, SolverError
 
 CFG_GROUP = dict(lambda1=0.5, lambda2=1.2, block_side=2)
+CFG_TV = dict(lambda1=2.0, lambda2=1.4, block_side=2)
 
 
 def group_problem(side=8, mn=0.8, seed=0, block_side=2):
@@ -36,7 +37,7 @@ class TestObjectiveEval:
     def test_ground_truth_zero_data_term(self):
         # noiseless full-sampling instance: only the penalty terms remain
         side = 8
-        a = linops.identity_sensing(side)
+        a = oracles.identity_sensing(side)
         mask = linops.full_mask(side)
         xa, xb = group_problem(side=side)[2:4]
         y = linops.forward(a, xa + xb, mask)
@@ -115,7 +116,7 @@ class TestLipschitz:
         mask = linops.gen_mask(side, int(0.7 * side * side), seed=side)
         dct = linops.dct_sensing(side)
         dense = [linops.SensingMatrix(entries=-dct.entries)]
-        dense += [linops.identity_sensing(side)] if side < 256 else []
+        dense += [oracles.identity_sensing(side)] if side < 256 else []
         for scale in (1.0, 1.3):
             closed = baseline.estimate_lipschitz(linops.MeasurementOperator(dct, mask, scale), cfg)
             for a in dense:
@@ -161,7 +162,7 @@ class TestBaselineSolve:
         # side 4, full sampling, identity A: no random feasible point beats
         # the solver output
         side = 4
-        a = linops.identity_sensing(side)
+        a = oracles.identity_sensing(side)
         mask = linops.full_mask(side)
         rng = np.random.default_rng(6)
         y = rng.standard_normal((side, side))
@@ -213,6 +214,47 @@ class TestBaselineSolve:
         cfg = baseline.BaselineConfig(max_iters=500, tol=1e-3, **CFG_GROUP)
         _, _, trace = baseline.baseline_solve(a, y, mask, cfg, "group")
         assert trace.last.tol_value <= 1e-3 or len(trace) == 500
+
+    @pytest.mark.parametrize("variant", ["group", "tv"])
+    def test_one_forward_and_one_adjoint_per_iteration(self, variant, monkeypatch):
+        # the power iteration's products, one objective at the zero state,
+        # then per iteration the gradient's adjoint and the candidate's
+        # objective; the extrapolated point's residual costs no product
+        calls = {"forward": 0, "adjoint": 0}
+        for name in calls:
+            product = getattr(linops.MeasurementOperator, name)
+
+            def counted(op, x, name=name, product=product):
+                calls[name] += 1
+                return product(op, x)
+
+            monkeypatch.setattr(linops.MeasurementOperator, name, counted)
+        a, mask, _, _, y = group_problem(seed=7)
+        lambdas = CFG_GROUP if variant == "group" else CFG_TV
+        cfg = baseline.BaselineConfig(max_iters=40, **lambdas)
+        _, _, trace = baseline.baseline_solve(a, y, mask, cfg, variant)
+        iters = len(trace)
+        assert calls == {"forward": baseline._POWER_ITERS + 1 + iters,
+                         "adjoint": baseline._POWER_ITERS + iters}
+
+    @pytest.mark.parametrize("variant,seed,max_iters", [("group", 1, 300), ("group", 3, 300),
+                                                        ("tv", 8, 100), ("tv", 13, 100)])
+    def test_matches_reference_fista(self, variant, seed, max_iters):
+        # the carried residual of the extrapolated point against a FISTA that
+        # recomputes it by a forward product: the same accepted and rejected
+        # steps, momentum restarts included, and the same estimates up to
+        # rounding (one ulp of y moves a 100-iteration tv run by up to about 5e-14)
+        a, mask, _, _, y = group_problem(seed=seed)
+        lambdas = CFG_GROUP if variant == "group" else CFG_TV
+        cfg = baseline.BaselineConfig(max_iters=max_iters, **lambdas)
+        xa, xb, trace = baseline.baseline_solve(a, y, mask, cfg, variant)
+        ref_a, ref_b, objectives, accepted = oracles.reference_fista(a, y, mask, cfg, variant)
+        assert [rec.tol_value != 0.0 for rec in trace.records] == accepted
+        assert "0" * baseline._RESTART_PATIENCE in "".join("01"[k] for k in accepted)
+        assert [rec.objective for rec in trace.records] == pytest.approx(objectives, rel=1e-12)
+        scale = max(np.abs(ref_a).max(), np.abs(ref_b).max())
+        assert np.abs(xa - ref_a).max() <= 1e-12 * scale
+        assert np.abs(xb - ref_b).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("variant", ["group", "tv"])
     def test_record_residual_norm_matches_state(self, variant):

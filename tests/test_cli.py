@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from mixamp import checks, cli, data, denoise, linops, solver
 
 
@@ -24,7 +25,7 @@ class TestSeparate:
         assert code == 0
         for name in ("xhat_a.pgm", "xhat_b.pgm", "trace.csv", "metrics.csv", "manifest.json"):
             assert (out / name).exists()
-        rows = data.read_metrics_csv(out / "metrics.csv")
+        rows = oracles.read_metrics_csv(out / "metrics.csv")
         assert len(rows) == 1
         assert rows[0]["solver"] == "mixamp"
         assert rows[0]["experiment"] == "group"
@@ -36,7 +37,7 @@ class TestSeparate:
             "--solver", "both", "--out", str(out),
         )
         assert code == 0
-        rows = data.read_metrics_csv(out / "metrics.csv")
+        rows = oracles.read_metrics_csv(out / "metrics.csv")
         assert [r["solver"] for r in rows] == ["mixamp", "baseline"]
         assert (out / "xhat_b_mixamp.pgm").exists()
         assert (out / "xhat_b_baseline.pgm").exists()
@@ -52,7 +53,7 @@ class TestSeparate:
             "--max-iters", "60", "--out", str(out),
         )
         assert code == 0
-        rows = data.read_metrics_csv(out / "metrics.csv")
+        rows = oracles.read_metrics_csv(out / "metrics.csv")
         assert rows[0]["experiment"] == "tv"
 
     def test_sampling_validation_exit_2(self, tmp_path):
@@ -171,7 +172,7 @@ class TestSweep:
             "--out", str(out),
         )
         assert code == 0
-        rows = data.read_metrics_csv(out / "sweep_metrics.csv")
+        rows = oracles.read_metrics_csv(out / "sweep_metrics.csv")
         assert len(rows) == 4
         keys = [(float(r["m_over_n"]), int(r["seed"])) for r in rows]
         assert keys == sorted(keys)
@@ -201,7 +202,7 @@ class TestSweep:
             "--out", str(out),
         )
         assert code == 1
-        rows = data.read_metrics_csv(out / "sweep_metrics.csv")
+        rows = oracles.read_metrics_csv(out / "sweep_metrics.csv")
         assert [(r["m_over_n"], r["seed"]) for r in rows] == [("0.25", "0")]
         assert (out / "s0.25_seed1" / "trace.csv").exists()
 

@@ -204,5 +204,5 @@ class TestMetricsCsv:
         text = path.read_text().splitlines()
         assert text[0] == "experiment,side,m_over_n,seed,psnr_a_db,psnr_b_db,iters,wall_ms,solver"
         assert text[1].startswith("group,64,0.7,0,")
-        back = data.read_metrics_csv(path)
+        back = oracles.read_metrics_csv(path)
         assert back[0]["solver"] == "mixamp"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import oracles
 from mixamp import checks, linops
 from mixamp.exceptions import DegenerateProblemError, DimensionError, UnsupportedSizeError
 
@@ -45,7 +46,7 @@ class TestDctIdentity:
             assert np.abs(gram - np.eye(side)).max() <= 1e-10
 
     def test_identity_entries(self):
-        assert np.array_equal(linops.identity_sensing(5).entries, np.eye(5))
+        assert np.array_equal(oracles.identity_sensing(5).entries, np.eye(5))
 
     def test_dct_built_once_per_side_and_read_only(self):
         assert linops.dct_sensing(16).entries is linops.dct_sensing(16).entries
@@ -114,6 +115,25 @@ class TestMask:
         with pytest.raises(DegenerateProblemError, match="sensing matrix is identically zero"):
             linops.SensingMatrix(entries=np.zeros((4, 4)))
 
+    def test_mask_owns_its_grid(self):
+        # a later write into the caller's array reaches neither the grid nor m
+        g = np.eye(4, dtype=bool)
+        mask = linops.SamplingMask(grid=g)
+        assert mask.m == 4
+        g[:] = True
+        assert mask.m == 4 and mask.grid.sum() == 4
+        with pytest.raises(ValueError):
+            mask.grid[0, 1] = True
+
+    def test_matrix_owns_its_entries(self):
+        # a NaN written after construction cannot get past the finite check
+        e = np.random.default_rng(0).standard_normal((4, 4))
+        a = linops.SensingMatrix(entries=e)
+        e[0, 0] = np.nan
+        assert np.isfinite(a.entries).all()
+        with pytest.raises(ValueError):
+            a.entries[0, 0] = np.nan
+
 
 class TestMaskApply:
     def test_full_mask_is_identity(self):
@@ -150,7 +170,7 @@ class TestForwardAdjoint:
     def test_identity_matrix_full_mask(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 8))
-        out = linops.forward(linops.identity_sensing(8), x, linops.full_mask(8))
+        out = linops.forward(oracles.identity_sensing(8), x, linops.full_mask(8))
         assert np.allclose(out, x, atol=0)
 
     def test_zero_input(self):
@@ -181,7 +201,7 @@ class TestForwardAdjoint:
     def test_adjoint_identity_matrix(self):
         rng = np.random.default_rng(6)
         r = rng.standard_normal((8, 8))
-        assert np.allclose(linops.adjoint(linops.identity_sensing(8), r), r, atol=0)
+        assert np.allclose(linops.adjoint(oracles.identity_sensing(8), r), r, atol=0)
 
     def test_adjoint_zero(self):
         a = linops.gen_gaussian_sensing(8, 40, seed=7)
@@ -205,7 +225,7 @@ class TestForwardAdjoint:
 
 class TestKronOracle:
     def test_identity_full_mask_side2(self):
-        a = linops.identity_sensing(2)
+        a = oracles.identity_sensing(2)
         xvec = np.array([1.0, 2.0, 3.0, 4.0])
         out = linops.kron_forward_oracle(a, xvec, np.arange(4))
         assert np.allclose(out, xvec, atol=0)

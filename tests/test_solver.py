@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from mixamp import baseline, checks, data, denoise, linops, solver
 from mixamp.exceptions import DimensionError, DomainError, SolverDivergenceError
 
@@ -101,7 +102,7 @@ class TestStep:
         # full sampling with A = I: the xa update is plain denoising of
         # (r + xa) with r = y at t = 0
         side = 8
-        a = linops.identity_sensing(side)
+        a = oracles.identity_sensing(side)
         mask = linops.full_mask(side)
         rng = np.random.default_rng(8)
         y = rng.standard_normal((side, side))
@@ -410,7 +411,7 @@ class TestNormalizeProblem:
             solver.mixamp_run(a, np.zeros((8, 8)), mask, cfg)
 
     def test_identity_full_mask_mild_scale(self):
-        a = linops.identity_sensing(8)
+        a = oracles.identity_sensing(8)
         mask = linops.full_mask(8)
         y = np.ones((8, 8))
         _, c = solver.normalize_problem(a, y, mask)
