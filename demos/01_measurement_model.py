@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from mixamp import linops
+from mixamp import checks, linops
 
 side = 8
 n = side * side
@@ -34,9 +34,10 @@ lhs = (linops.forward(a, x, mask) * r).sum()
 rhs = (x * linops.adjoint(a, r)).sum()
 print(f"adjoint identity <Fx, r> = <x, F*r>: {lhs:.6f} vs {rhs:.6f}")
 
-# the same measurement through the dense Kronecker model (test oracle,
-# side <= 16 only): vec(Y) = P{(A kron A) vec(X)} with column-major vec
-yvec = linops.kron_forward_oracle(a, x.flatten(order="F"), mask.vec_indices())
+# the same measurement through the dense Kronecker model (the oracle of
+# mixamp selfcheck, side <= 16 only): vec(Y) = P{(A kron A) vec(X)} with
+# column-major vec
+yvec = checks.kron_forward_oracle(a, x.flatten(order="F"), checks.vec_indices(mask))
 err = np.abs(y.flatten(order="F") - yvec).max()
 print(f"2D model vs dense Kronecker model: max abs diff {err:.2e}")
 

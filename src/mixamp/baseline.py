@@ -59,8 +59,7 @@ class BaselineConfig:
 
 def _regularizer(xb, cfg, variant):
     if variant == "group":
-        blocks, _ = denoise._blocks_view(np.asarray(xb, dtype=float), cfg.block_side)
-        return float(np.sqrt((blocks ** 2).sum(axis=(2, 3))).sum())
+        return float(denoise._block_norms(np.asarray(xb, dtype=float), cfg.block_side).sum())
     return denoise.tv_norm(xb)
 
 
@@ -71,7 +70,8 @@ def objective_eval(xa, xb, op, y, cfg, variant):
     residual R = Y - P_Omega{A (Xa + Xb) A^T} that F was computed from.
     """
     check_choice("variant", variant, BASELINE_VARIANTS)
-    resid = y - op.forward(np.asarray(xa, dtype=float) + np.asarray(xb, dtype=float))
+    resid = op.forward(np.asarray(xa, dtype=float) + np.asarray(xb, dtype=float))
+    np.subtract(y, resid, out=resid)
     data = 0.5 * cfg.rho * float((resid ** 2).sum())
     value = data + cfg.lambda1 * float(np.abs(xa).sum()) + cfg.lambda2 * _regularizer(xb, cfg, variant)
     return value, resid
@@ -167,7 +167,8 @@ def baseline_solve(a, y, mask, cfg, variant):
         step *= -cfg.rho
         step /= lip
         cand_a = denoise.soft_threshold(za - step, cfg.lambda1 / lip)
-        cand_b, tv_state = _prox_b(zb - step, cfg.lambda2 / lip, cfg, variant, tv_state)
+        cand_b, tv_state = _prox_b(np.subtract(zb, step, out=step), cfg.lambda2 / lip, cfg,
+                                   variant, tv_state)
         f_cand, r_cand = objective_eval(cand_a, cand_b, op, y, cfg, variant)
 
         restarted = t_k == 1.0 and it > 1

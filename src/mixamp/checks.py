@@ -8,7 +8,8 @@ Checks reach the library through its module attributes, so a test can
 patch a library function and see its check fail. The worst violation is
 taken with np.maximum, which keeps a NaN, so a check that measured NaN
 fails its bound. The brute-force references (grid_prox_abs,
-fd_divergence) share no code path with the functions they check.
+fd_divergence, kron_forward_oracle) share no code path with the functions
+they check.
 """
 
 from dataclasses import replace
@@ -16,7 +17,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import denoise, linops, solver
-from .exceptions import DomainError
+from .exceptions import DimensionError, DomainError, UnsupportedSizeError
+
+KRON_ORACLE_MAX_SIDE = 16
 
 
 def grid_prox_abs(x, thr, step=1e-4):
@@ -62,12 +65,43 @@ def nudge_block_radii(x, block_side, thr, margin=1e-4):
     return x
 
 
+def vec_indices(mask):
+    """Column-major vectorized indices of Omega: (k, l) -> l * side + k, sorted."""
+    return np.flatnonzero(mask.grid.T)
+
+
+def kron_forward_oracle(a, xvec, maskvec):
+    """Dense 1D reference model: P_Omega'{(A kron A) vec(X)}.
+
+    Builds the full N x N Kronecker matrix, so it is restricted to
+    side <= 16 and intended as a test oracle only. ``xvec`` is the
+    column-major vectorization of X and ``maskvec`` holds the 0-based
+    column-major indices of Omega.
+    """
+    if a.side > KRON_ORACLE_MAX_SIDE:
+        raise UnsupportedSizeError(
+            f"kron oracle limited to side <= {KRON_ORACLE_MAX_SIDE}, got {a.side}"
+        )
+    xvec = np.asarray(xvec, dtype=float).ravel()
+    n = a.side * a.side
+    if xvec.size != n:
+        raise DimensionError(f"xvec must have length side^2 = {n}, got {xvec.size}")
+    maskvec = np.asarray(maskvec, dtype=np.int64).ravel()
+    if maskvec.size and (maskvec.min() < 0 or maskvec.max() >= n):
+        raise DimensionError("maskvec indices out of range")
+    big = np.kron(a.entries, a.entries)
+    yvec = big @ xvec
+    keep = np.zeros(n, dtype=bool)
+    keep[maskvec] = True
+    return np.where(keep, yvec, 0.0)
+
+
 def kron_equivalence(instances):
     """Worst relative error of vec(P{A X A^T}) against the Kronecker model; yields (a, mask, x)."""
     worst = 0.0
     for a, mask, x in instances:
         y2d = linops.forward(a, x, mask).flatten(order="F")
-        yvec = linops.kron_forward_oracle(a, x.flatten(order="F"), mask.vec_indices())
+        yvec = kron_forward_oracle(a, x.flatten(order="F"), vec_indices(mask))
         worst = np.maximum(worst, np.abs(y2d - yvec).max() / max(np.abs(yvec).max(), 1e-30))
     return float(worst)
 

@@ -14,8 +14,6 @@ import scipy.fft
 from .exceptions import (DegenerateProblemError, DimensionError, DomainError,
                          UnsupportedSizeError, check_count, check_grid)
 
-KRON_ORACLE_MAX_SIDE = 16
-
 
 def _owned(array):
     """A read-only copy of array, so no later write by the caller reaches it."""
@@ -69,10 +67,6 @@ class SamplingMask:
         flat = np.flatnonzero(~self.grid)
         flat.flags.writeable = False
         return flat
-
-    def vec_indices(self):
-        """Column-major vectorized indices of Omega: (k, l) -> l * side + k, sorted."""
-        return np.flatnonzero(self.grid.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,32 +187,6 @@ def adjoint(a, r):
     """Adjoint of the measurement map for masked r: A^T R A."""
     r = check_grid(r, side=a.side, name="r")
     return a.entries.T @ r @ a.entries
-
-
-def kron_forward_oracle(a, xvec, maskvec):
-    """Dense 1D reference model: P_Omega'{(A kron A) vec(X)}.
-
-    Builds the full N x N Kronecker matrix, so it is restricted to
-    side <= 16 and intended as a test oracle only. ``xvec`` is the
-    column-major vectorization of X and ``maskvec`` holds the 0-based
-    column-major indices of Omega.
-    """
-    if a.side > KRON_ORACLE_MAX_SIDE:
-        raise UnsupportedSizeError(
-            f"kron oracle limited to side <= {KRON_ORACLE_MAX_SIDE}, got {a.side}"
-        )
-    xvec = np.asarray(xvec, dtype=float).ravel()
-    n = a.side * a.side
-    if xvec.size != n:
-        raise DimensionError(f"xvec must have length side^2 = {n}, got {xvec.size}")
-    maskvec = np.asarray(maskvec, dtype=np.int64).ravel()
-    if maskvec.size and (maskvec.min() < 0 or maskvec.max() >= n):
-        raise DimensionError("maskvec indices out of range")
-    big = np.kron(a.entries, a.entries)
-    yvec = big @ xvec
-    keep = np.zeros(n, dtype=bool)
-    keep[maskvec] = True
-    return np.where(keep, yvec, 0.0)
 
 
 def _is_power_of_two(side):

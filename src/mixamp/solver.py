@@ -178,29 +178,44 @@ def mixamp_step(state, op, y, cfg):
     m = op.mask.m
     probe_seed = 2 * state.t  # component a probes with 2t, component b with 2t + 1
 
-    # overflow here is how divergence manifests; it is detected below
+    # Arithmetic in place runs only on arrays this call made: the adjoint and
+    # forward outputs, the denoised estimates, and the pseudo-data of
+    # component a, which is scratch once denoised. Each value is formed in
+    # the order of operations of the plain formulas, so it is the same to
+    # the bit. Overflow here is how divergence manifests; it is detected below.
     with np.errstate(over="ignore", invalid="ignore"):
         z = op.adjoint(state.r)
-        out_a = apply_denoiser(cfg.denoiser_a, z + state.xa, state.theta, probe_seed, state.tv_a)
-        out_b = apply_denoiser(cfg.denoiser_b, z + state.xb, state.theta, probe_seed + 1,
-                               state.tv_b)
+        va = z + state.xa
+        z += state.xb
+        out_a = apply_denoiser(cfg.denoiser_a, va, state.theta, probe_seed, state.tv_a)
+        out_b = apply_denoiser(cfg.denoiser_b, z, state.theta, probe_seed + 1, state.tv_b)
+        scratch = va
 
         beta = cfg.damping
-        xa_new = out_a.estimate if beta == 1.0 else (1.0 - beta) * state.xa + beta * out_a.estimate
-        xb_new = out_b.estimate if beta == 1.0 else (1.0 - beta) * state.xb + beta * out_b.estimate
+        xa_new = _blend(out_a.estimate, state.xa, beta, scratch)
+        xb_new = _blend(out_b.estimate, state.xb, beta, scratch)
 
         onsager = (n / m) * (out_a.divergence_avg + out_b.divergence_avg)
-        r_new = y - op.forward(xa_new + xb_new) + onsager * state.r
-        if beta != 1.0:
-            r_new = (1.0 - beta) * state.r + beta * r_new
+        r_new = op.forward(np.add(xa_new, xb_new, out=scratch))
+        np.subtract(y, r_new, out=r_new)
+        r_new += np.multiply(onsager, state.r, out=scratch)
+        r_new = _blend(r_new, state.r, beta, scratch)
 
-        theta_new = float((r_new ** 2).sum() / m)
+        theta_new = float(np.square(r_new, out=scratch).sum() / m)  # (r ** 2).sum() / m
     if not np.isfinite(theta_new):
         raise SolverDivergenceError(
             f"non-finite residual at iteration {state.t + 1}", iteration=state.t + 1
         )
     return MixAmpState(xa=xa_new, xb=xb_new, r=r_new, theta=theta_new, t=state.t + 1,
                        tv_a=out_a.tv_state, tv_b=out_b.tv_state)
+
+
+def _blend(new, old, beta, scratch):
+    """The damped update (1 - beta) * old + beta * new, formed in ``new``."""
+    if beta != 1.0:
+        new *= beta
+        new += np.multiply(1.0 - beta, old, out=scratch)
+    return new
 
 
 def stopping_tol(prev, cur):
@@ -211,10 +226,18 @@ def stopping_tol(prev, cur):
     """
     pa, pb = prev
     ca, cb = cur
-    if pa.shape != ca.shape or pb.shape != cb.shape:
-        raise DegenerateProblemError("estimate pairs must have matching shapes")
-    num = np.sqrt(((pa - ca) ** 2).sum() + ((pb - cb) ** 2).sum())
-    den = np.sqrt((ca ** 2).sum() + (cb ** 2).sum())
+    if not pa.shape == ca.shape == pb.shape == cb.shape:
+        raise DegenerateProblemError("estimates must all have the same shape")
+    # one buffer holds each difference and square in turn (np.square(u) is
+    # u ** 2 to the bit); at side 256 a buffer per component, two 512 KB
+    # temporaries alive at once, made the call twice as slow in page faults
+    buf = np.subtract(pa, ca, dtype=float)
+
+    def sum_sq(u):
+        return np.square(u, out=buf).sum()
+
+    num = np.sqrt(sum_sq(buf) + sum_sq(np.subtract(pb, cb, out=buf)))
+    den = np.sqrt(sum_sq(ca) + sum_sq(cb))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return float(num / den)

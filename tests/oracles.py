@@ -2,13 +2,15 @@
 
 Everything here is deliberately brute force (numerical minimization,
 subgradient descent, explicit loops) and shares no code path with the
-library functions it checks; reference_fista names the pieces of
-mixamp.baseline it borrows. The references that `mixamp selfcheck` runs
-as well (grid_prox_abs, fd_divergence and the kink and radius nudges)
-live in mixamp.checks; this module holds the rest: numeric_prox_frobenius,
-tv_norm_loops, subgrad_descent_tv, tv_bregman_reference, the straight_line_*
-recomputations and reference_fista. It also holds the two helpers only the
-tests need: identity_sensing and read_metrics_csv.
+library functions it checks; reference_fista and reference_mixamp_step
+name the pieces of the library they borrow. The references that `mixamp
+selfcheck` runs as well (grid_prox_abs, fd_divergence, the kink and radius
+nudges and the Kronecker model) live in mixamp.checks; this module holds
+the rest: numeric_prox_frobenius, block_soft_threshold_loops,
+tv_norm_loops, subgrad_descent_tv, tv_bregman_reference, the
+straight_line_* recomputations, mc_divergence_mean, reference_mixamp_step
+and reference_fista. It also holds the two helpers only the tests need:
+identity_sensing and read_metrics_csv.
 """
 
 import csv
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from mixamp import baseline, denoise, linops, solver
+from mixamp.exceptions import SolverDivergenceError
 
 
 def identity_sensing(side):
@@ -44,6 +47,37 @@ def numeric_prox_frobenius(block, thr):
         if best is None or res.fun < best.fun:
             best = res
     return best.x.reshape(np.asarray(block).shape), float(best.fun)
+
+
+def block_soft_threshold_loops(x, block_side, thr):
+    """Block soft thresholding tile by tile; returns (estimate, divergence, sum of tile norms)."""
+    x = np.asarray(x, dtype=float)
+    side = x.shape[0]
+    est = np.zeros_like(x)
+    div = norms = 0.0
+    b = block_side * block_side
+    for bi in range(0, side, block_side):
+        for bj in range(0, side, block_side):
+            tile = x[bi:bi + block_side, bj:bj + block_side]
+            r = float(np.sqrt(sum(v * v for v in tile.ravel())))
+            norms += r
+            if r > thr:
+                est[bi:bi + block_side, bj:bj + block_side] = tile * (1.0 - thr / r)
+                div += b * (1.0 - thr / r) + thr / r
+    return est, div / x.size, norms
+
+
+def mc_divergence_mean(eta, x, probe_seed, eps, n_probes):
+    """The Monte-Carlo divergence of denoise.mc_divergence averaged over
+    n_probes Rademacher probes drawn in turn from one generator."""
+    x = np.asarray(x, dtype=float)
+    base = eta(x)
+    rng = np.random.default_rng(probe_seed)
+    total = 0.0
+    for _ in range(n_probes):
+        b = rng.choice((-1.0, 1.0), size=x.shape)
+        total += float((b * (eta(x + eps * b) - base)).sum() / (eps * x.size))
+    return total / n_probes
 
 
 def tv_norm_loops(x):
@@ -202,6 +236,36 @@ def straight_line_psnr(reference, estimate):
     if mse == 0.0:
         return float("inf")
     return 10.0 * np.log10(peak * peak / mse)
+
+
+def reference_mixamp_step(state, op, y, cfg):
+    """One mixamp iteration written as its plain formulas, every array fresh.
+
+    Takes the denoisers from mixamp.solver.apply_denoiser, so it differs from
+    solver.mixamp_step only in how the step's own arithmetic is laid out in
+    memory; the two must agree bit for bit.
+    """
+    n, m = op.side * op.side, op.mask.m
+    probe_seed = 2 * state.t
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = op.adjoint(state.r)
+        out_a = solver.apply_denoiser(cfg.denoiser_a, z + state.xa, state.theta, probe_seed,
+                                      state.tv_a)
+        out_b = solver.apply_denoiser(cfg.denoiser_b, z + state.xb, state.theta, probe_seed + 1,
+                                      state.tv_b)
+        beta = cfg.damping
+        xa_new = out_a.estimate if beta == 1.0 else (1.0 - beta) * state.xa + beta * out_a.estimate
+        xb_new = out_b.estimate if beta == 1.0 else (1.0 - beta) * state.xb + beta * out_b.estimate
+        onsager = (n / m) * (out_a.divergence_avg + out_b.divergence_avg)
+        r_new = y - op.forward(xa_new + xb_new) + onsager * state.r
+        if beta != 1.0:
+            r_new = (1.0 - beta) * state.r + beta * r_new
+        theta_new = float((r_new ** 2).sum() / m)
+    if not np.isfinite(theta_new):
+        raise SolverDivergenceError(f"non-finite residual at iteration {state.t + 1}",
+                                    iteration=state.t + 1)
+    return solver.MixAmpState(xa=xa_new, xb=xb_new, r=r_new, theta=theta_new, t=state.t + 1,
+                              tv_a=out_a.tv_state, tv_b=out_b.tv_state)
 
 
 def reference_fista(a, y, mask, cfg, variant):

@@ -90,8 +90,8 @@ def test_criterion_3_divergences():
     for seed in range(5):
         x = rng.standard_normal((16, 16))
         thr = 0.6
-        mc = denoise.mc_divergence(lambda v: denoise.soft_threshold(v, thr), x,
-                                   probe_seed=seed, eps=1e-6, n_probes=8)
+        mc = oracles.mc_divergence_mean(lambda v: denoise.soft_threshold(v, thr), x,
+                                        probe_seed=seed, eps=1e-6, n_probes=8)
         worst_mc = max(worst_mc, abs(mc - denoise.soft_threshold_div(x, thr)))
     ok = worst_soft <= 1e-5 and worst_block <= 1e-5 and worst_mc <= 0.05
     report(3, ok, f"soft FD err {worst_soft:.2e}, block FD err {worst_block:.2e} "

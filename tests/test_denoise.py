@@ -162,6 +162,22 @@ class TestBlockSoftThreshold:
         with pytest.raises(DimensionError):
             denoise.block_soft_threshold(np.zeros((6, 6)), 4, 0.5)
 
+    @pytest.mark.parametrize("block_side", [1, 2, 3, 4, 7, 8, 16])
+    def test_matches_tile_loops(self, block_side):
+        # the tile norms come from strided adds; the loops sum each tile
+        # entry by entry, and scale and count it on its own
+        rng = np.random.default_rng(block_side)
+        side = 3 * block_side if block_side > 1 else 5
+        x = rng.standard_normal((side, side)) * rng.uniform(0.2, 3.0, (side, side))
+        x[:block_side, :block_side] = 0.0  # a zero tile
+        cfg = baseline.BaselineConfig(lambda1=1.0, lambda2=1.0, block_side=block_side)
+        for thr in (0.0, 0.5 * block_side, 2.0 * block_side):
+            out = denoise.block_soft_threshold(x, block_side, thr)
+            est, div, norms = oracles.block_soft_threshold_loops(x, block_side, thr)
+            assert np.abs(out.estimate - est).max() <= 1e-14 * np.abs(est).max(initial=1.0)
+            assert abs(out.divergence_avg - div) <= 1e-14 * abs(div)
+            assert abs(baseline._regularizer(x, cfg, "group") - norms) <= 1e-14 * norms
+
 
 class TestTvNorm:
     def test_constant_grid(self):

@@ -227,7 +227,7 @@ class TestKronOracle:
     def test_identity_full_mask_side2(self):
         a = oracles.identity_sensing(2)
         xvec = np.array([1.0, 2.0, 3.0, 4.0])
-        out = linops.kron_forward_oracle(a, xvec, np.arange(4))
+        out = checks.kron_forward_oracle(a, xvec, np.arange(4))
         assert np.allclose(out, xvec, atol=0)
 
     def test_matches_forward_all_small_sides(self):
@@ -245,7 +245,7 @@ class TestKronOracle:
     def test_oracle_scale_guard(self):
         a = linops.gen_gaussian_sensing(32, 100, seed=0)
         with pytest.raises(UnsupportedSizeError, match="kron oracle limited to side <= 16"):
-            linops.kron_forward_oracle(a, np.zeros(32 * 32), np.arange(10))
+            checks.kron_forward_oracle(a, np.zeros(32 * 32), np.arange(10))
 
 
 class TestDctFastForward:

@@ -144,6 +144,97 @@ class TestStep:
         assert info.value.trace is not None
 
 
+def _operator_problem(sensing, seed):
+    """(op, y) of a normalized side-32 problem under Gaussian or DCT sensing."""
+    a, mask, xa, xb, y = small_problem(side=32, mn=0.7, seed=seed)
+    if sensing == "dct":
+        a = linops.dct_sensing(32)
+        y = linops.forward(a, xa + xb, mask)
+    y, c = solver.normalize_problem(a, y, mask)
+    op = linops.MeasurementOperator(a, mask, c)
+    assert op.fast == (sensing == "dct")
+    return op, y
+
+
+TV5 = denoise.DenoiserSpec(kind="tv_bregman", tau=1.0, tv_inner_iters=5)
+
+
+class TestStepMatchesReference:
+    """mixamp_step, which works in place, equals the plain formulas bit for bit."""
+
+    @pytest.mark.parametrize("sensing", ["gaussian", "dct"])
+    @pytest.mark.parametrize("denoiser_b,damping", [(BLOCK4, 1.0), (BLOCK4, 0.49), (TV5, 0.49)],
+                             ids=["block-1.0", "block-0.49", "tv-0.49"])
+    def test_fifteen_steps(self, sensing, denoiser_b, damping):
+        op, y = _operator_problem(sensing, seed=6)
+        cfg = solver.MixAmpConfig(denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
+                                  denoiser_b=denoiser_b, damping=damping)
+        state = ref = solver.mixamp_init(y, op.mask)
+        for _ in range(15):
+            state = solver.mixamp_step(state, op, y, cfg)
+            ref = oracles.reference_mixamp_step(ref, op, y, cfg)
+            for name in ("xa", "xb", "r"):
+                assert np.array_equal(getattr(state, name), getattr(ref, name)), (state.t, name)
+            assert state.theta == ref.theta
+
+
+class TestNoAliasing:
+    """The step and the denoisers write into none of their inputs, and return
+    arrays of their own."""
+
+    @staticmethod
+    def assert_fresh(result, *inputs):
+        for array in inputs:
+            assert not np.shares_memory(result, array)
+
+    def test_step(self):
+        op, y = _operator_problem("gaussian", seed=7)
+        for denoiser_b, damping in ((BLOCK4, 1.0), (BLOCK4, 0.49), (TV5, 0.49)):
+            cfg = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=denoiser_b, damping=damping)
+            state = solver.mixamp_step(solver.mixamp_init(y, op.mask), op, y, cfg)
+            inputs = (state.xa, state.xb, state.r, y)
+            before = [array.copy() for array in inputs]
+            new = solver.mixamp_step(state, op, y, cfg)
+            for array, copy in zip(inputs, before):
+                assert np.array_equal(array, copy)
+            for result in (new.xa, new.xb, new.r):
+                self.assert_fresh(result, *inputs)
+            self.assert_fresh(new.xa, new.xb)
+            self.assert_fresh(new.r, new.xa, new.xb)
+
+    @pytest.mark.parametrize("spec,theta", [(SOFT, 0.3), (BLOCK4, 0.3), (TV5, 0.3), (TV5, 0.0)],
+                             ids=["soft", "block_soft", "tv_bregman", "tv-identity"])
+    def test_apply_denoiser(self, spec, theta):
+        x = np.random.default_rng(8).standard_normal((16, 16))
+        copy = x.copy()
+        out = solver.apply_denoiser(spec, x, theta)
+        assert np.array_equal(x, copy)
+        self.assert_fresh(out.estimate, x)
+
+    def test_thresholds(self):
+        x = np.random.default_rng(9).standard_normal((16, 16))
+        copy = x.copy()
+        for estimate in (denoise.soft_threshold(x, 0.5),
+                         denoise.block_soft_threshold(x, 4, 0.5).estimate,
+                         denoise.block_soft_threshold(x, 1, 0.5).estimate):
+            assert np.array_equal(x, copy)
+            self.assert_fresh(estimate, x)
+
+    def test_run_that_backs_off_equals_the_reference_step(self, monkeypatch):
+        # after a blow-up the run steps again from its best state, which it
+        # still holds: a step that wrote into its input would have spoilt it
+        a, mask, _, _, y = small_problem(side=32, mn=0.7, seed=1)
+        cfg = solver.MixAmpConfig(denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
+                                  denoiser_b=BLOCK4, damping=0.3)
+        xa, xb, trace = solver.mixamp_run(a, y, mask, cfg)
+        monkeypatch.setattr(solver, "mixamp_step", oracles.reference_mixamp_step)
+        xa_ref, xb_ref, trace_ref = solver.mixamp_run(a, y, mask, cfg)
+        assert trace.backoffs >= 1 and trace.backoffs == trace_ref.backoffs
+        assert np.array_equal(xa, xa_ref) and np.array_equal(xb, xb_ref)
+        assert [(r.theta, r.tol_value) for r in trace.records] == \
+               [(r.theta, r.tol_value) for r in trace_ref.records]
+
+
 class TestStoppingTol:
     def test_fixed_point(self):
         x = np.ones((3, 3))
