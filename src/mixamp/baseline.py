@@ -48,12 +48,11 @@ class BaselineConfig:
     max_iters: int = 1000
     tol: float = 5e-4
     block_side: int = 4
-    tv_inner_iters: int = 20
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "rho", "tol"):
             check_real(name, getattr(self, name), strict=True)
-        for name in ("max_iters", "block_side", "tv_inner_iters"):
+        for name in ("max_iters", "block_side"):
             check_count(name, getattr(self, name), 1)
 
 
@@ -113,7 +112,7 @@ def _prox_b(v, step_weight, cfg, variant, tv_state=None):
     if variant == "group":
         return denoise.block_soft_threshold(v, cfg.block_side, step_weight).estimate, None
     u, _, state = denoise._tv_bregman_estimate(np.asarray(v, dtype=float), 1.0 / step_weight,
-                                               cfg.tv_inner_iters, tv_state)
+                                               denoise._TV_INNER_ITERS, tv_state)
     return u, state
 
 

@@ -148,11 +148,10 @@ def block_divergence_fd(instances):
 
 
 def tv_objective_decrease(instances):
-    """Largest rise of the TV objective by a default TV solve of each (x, lam), or 0."""
-    spec = denoise.DenoiserSpec(kind="tv_bregman")
+    """Largest rise of the TV objective by tv_denoise_bregman on each (x, lam), or 0."""
     worst = 0.0
     for x, lam in instances:
-        out = denoise.tv_denoise_bregman(x, lam, spec)
+        out = denoise.tv_denoise_bregman(x, lam)
         rise = denoise.tv_objective(out.estimate, x, lam) - denoise.tv_objective(x, x, lam)
         worst = np.maximum(worst, rise)
     return float(worst)

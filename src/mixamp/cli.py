@@ -29,9 +29,6 @@ CASE_DEFAULTS = {
     "tv": {"tau_a": 2.0, "tau_b": 1.0, "lambda1": 2.0, "lambda2": 1.4},
 }
 DEFAULT_DAMPING = 0.3
-# Inner split-Bregman iterations per TV solve. Both solvers start each solve
-# from the state the previous outer iteration left, so a few suffice.
-TV_INNER_ITERS = 5
 MANIFEST_SCHEMA = "mixamp-run-v1"
 CASES = tuple(CASE_DEFAULTS)
 SOLVERS = ("mixamp", "baseline", "both")
@@ -251,8 +248,7 @@ def _mixamp_config(p):
     if p["case"] == "group":
         spec_b = denoise.DenoiserSpec(kind="block_soft", block_side=p["block"], tau=p["tau_b"])
     else:
-        spec_b = denoise.DenoiserSpec(kind="tv_bregman", tau=p["tau_b"],
-                                      tv_inner_iters=TV_INNER_ITERS)
+        spec_b = denoise.DenoiserSpec(kind="tv_bregman", tau=p["tau_b"])
     return solver.MixAmpConfig(
         denoiser_a=spec_a, denoiser_b=spec_b,
         max_iters=p["max_iters"], tol=p["tol"], damping=p["damping"],
@@ -263,7 +259,6 @@ def _baseline_config(p):
     return baseline.BaselineConfig(
         lambda1=p["lambda1"], lambda2=p["lambda2"], rho=p["rho"],
         max_iters=max(p["max_iters"], 1000), tol=p["tol"], block_side=p["block"],
-        tv_inner_iters=TV_INNER_ITERS,
     )
 
 
@@ -341,7 +336,7 @@ def run_separation(p, out_dir):
 
 
 def _manifest_params(path):
-    """The run parameters stored in a manifest, checked for completeness."""
+    """The run parameters stored in a manifest: every param of a run and no other."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -356,6 +351,9 @@ def _manifest_params(path):
     missing = sorted(required.keys() - params.keys())
     if missing:
         raise MixAmpError(f"manifest {path} lacks params: {', '.join(missing)}")
+    unknown = sorted(params.keys() - required.keys())
+    if unknown:
+        raise MixAmpError(f"manifest {path} has unknown params: {', '.join(unknown)}")
     return params
 
 

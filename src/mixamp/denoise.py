@@ -22,9 +22,11 @@ DENOISER_KINDS = ("soft", "block_soft", "tv_bregman")
 # range; the denoiser degenerates to the identity map.
 _TV_IDENTITY_THR = 1e-12
 # Fixed split-Bregman settings: the penalty mu = _TV_MU_PER_LAM * lam, the
-# red-black Gauss-Seidel sweeps per inner iteration, and the step of the
+# inner iterations per solve (few, as both solvers warm-start every solve),
+# the red-black Gauss-Seidel sweeps per inner iteration, and the step of the
 # Monte-Carlo divergence probe.
 _TV_MU_PER_LAM = 2.0
+_TV_INNER_ITERS = 5
 _TV_SWEEPS = 2
 _TV_PROBE_EPS = 1e-3
 
@@ -34,13 +36,11 @@ class DenoiserSpec:
     """Configuration of one denoiser.
 
     tau scales the threshold derived from the solver's noise estimate
-    theta: the denoiser receives tau * sqrt(theta). tv_inner_iters caps
-    the split-Bregman inner iterations of one TV solve.
+    theta: the denoiser receives tau * sqrt(theta).
     """
 
     kind: str
     block_side: int = 0
-    tv_inner_iters: int = 20
     tau: float = 1.0
 
     def __post_init__(self):
@@ -48,7 +48,6 @@ class DenoiserSpec:
         check_count("block_side", self.block_side, 0)
         if self.kind == "block_soft":
             check_count("block_side", self.block_side, 1, DimensionError)
-        check_count("tv_inner_iters", self.tv_inner_iters, 1)
         check_real("tau", self.tau, strict=True)
 
 
@@ -285,13 +284,14 @@ def _tv_bregman_estimate(x, lam, iters, state=None):
     return u_prev, progress <= 1e-4, TvState(p=p, d=d, b=b, mu=mu)
 
 
-def tv_denoise_bregman(x, lam, spec, state=None, probe_seed=0):
+def tv_denoise_bregman(x, lam, state=None, probe_seed=0):
     """Approximate argmin of ||u||_TV + (lam/2)||u - x||_F^2.
 
     Split Bregman (Goldstein & Osher 2009): anisotropic shrinkage on split
     difference variables d ~ Du, with the quadratic subproblem
     (lam I + mu L) u = rhs relaxed by two red-black Gauss-Seidel sweeps per
-    inner iteration. The penalty is fixed at mu = 2 lam.
+    inner iteration, for at most _TV_INNER_ITERS = 5 inner iterations. The
+    penalty is fixed at mu = 2 lam.
 
     The iteration runs on one flat, zero-padded buffer. Grid row i is
     stored at padded row i + 1 behind one zero pad column, and the row
@@ -316,19 +316,18 @@ def tv_denoise_bregman(x, lam, spec, state=None, probe_seed=0):
     ``state``; the output carries the state this solve ended in as
     tv_state.
 
-    A run that is still moving after spec.tv_inner_iters returns its last
-    iterate with tv_converged=False rather than raising. The divergence is
-    estimated by one Rademacher probe (mc_divergence) of step 1e-3 drawn
-    from ``probe_seed``; the probe solve starts from the same state as the
-    estimate, so the probe is a finite difference of one map.
+    A solve that is still moving after its last inner iteration returns
+    that iterate with tv_converged=False rather than raising. The
+    divergence is estimated by one Rademacher probe (mc_divergence) of
+    step 1e-3 drawn from ``probe_seed``; the probe solve starts from the
+    same state as the estimate, so the probe is a finite difference of one
+    map.
     """
     check_real("lam", lam, strict=True)
-    check_choice("spec.kind", spec.kind, ("tv_bregman",))
     x = check_grid(x, name="x")
 
-    iters = spec.tv_inner_iters
-    u, converged, end = _tv_bregman_estimate(x, lam, iters, state)
-    div = mc_divergence(lambda v: _tv_bregman_estimate(v, lam, iters, state)[0], x,
+    u, converged, end = _tv_bregman_estimate(x, lam, _TV_INNER_ITERS, state)
+    div = mc_divergence(lambda v: _tv_bregman_estimate(v, lam, _TV_INNER_ITERS, state)[0], x,
                         probe_seed=probe_seed, eps=_TV_PROBE_EPS, _precomputed=u)
     # prox of a convex function: each diagonal slope lies in [0, 1]
     div = float(min(max(div, 0.0), 1.0))

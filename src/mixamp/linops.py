@@ -12,7 +12,7 @@ import numpy as np
 import scipy.fft
 
 from .exceptions import (DegenerateProblemError, DimensionError, DomainError,
-                         UnsupportedSizeError, check_count, check_grid)
+                         UnsupportedSizeError, check_count, check_grid, check_real)
 
 
 def _owned(array):
@@ -135,12 +135,6 @@ def gen_mask(side, m, seed):
     return SamplingMask(grid=grid.reshape(side, side))
 
 
-def full_mask(side):
-    """Mask with Omega equal to the whole grid."""
-    check_count("side", side, 2, DimensionError)
-    return SamplingMask(grid=np.ones((side, side), dtype=bool))
-
-
 def mask_apply(mask, z):
     """Null every entry of z outside Omega; idempotent."""
     return _zero_unsampled(check_grid(z, side=mask.side, name="z").copy(), mask)
@@ -228,8 +222,8 @@ def dct_fast_adjoint(r):
 class MeasurementOperator:
     """The masked two-sided map of one solve, X -> P_Omega{(cA) X (cA)^T}.
 
-    ``a`` is the sensing matrix before scaling and ``scale`` the factor c
-    (normalize_problem's, or 1). The form is read off the entries: a
+    ``a`` is the sensing matrix before scaling and ``scale`` the factor
+    c > 0 (normalize_problem's, or 1). The form is read off the entries: a
     matrix equal, entry for entry, to dct_sensing at a power-of-two side
     takes the fast form, dct_fast_forward and dct_fast_adjoint with c^2
     applied as one multiply. Every other matrix takes the dense form:
@@ -239,6 +233,7 @@ class MeasurementOperator:
     """
 
     def __init__(self, a, mask, scale=1.0):
+        check_real("scale", scale, strict=True)
         if mask.side != a.side:
             raise DimensionError(f"mask side {mask.side} does not match matrix side {a.side}")
         self.mask = mask

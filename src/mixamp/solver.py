@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import denoise, linops
-from .exceptions import (DegenerateProblemError, DomainError, SolverDivergenceError,
+from .exceptions import (DimensionError, DomainError, SolverDivergenceError,
                          check_block_side, check_count, check_real)
 
 TRACE_COLUMNS = ("t", "theta", "tol", "residual_norm", "wall_ms")
@@ -161,7 +161,7 @@ def apply_denoiser(spec, x, theta, probe_seed=0, tv_state=None):
     # threshold means no denoising at all, and leaves no state to carry on
     if thr < denoise._TV_IDENTITY_THR:
         return denoise.DenoiseOutput(estimate=np.asarray(x, dtype=float).copy(), divergence_avg=1.0)
-    return denoise.tv_denoise_bregman(x, 1.0 / thr, spec, tv_state, probe_seed)
+    return denoise.tv_denoise_bregman(x, 1.0 / thr, tv_state, probe_seed)
 
 
 def mixamp_step(state, op, y, cfg):
@@ -173,7 +173,7 @@ def mixamp_step(state, op, y, cfg):
     """
     side = op.side
     if state.r.shape != (side, side) or y.shape != (side, side):
-        raise DegenerateProblemError("state, measurements and operator sides must agree")
+        raise DimensionError("state, measurements and operator sides must agree")
     n = side * side
     m = op.mask.m
     probe_seed = 2 * state.t  # component a probes with 2t, component b with 2t + 1
@@ -227,7 +227,7 @@ def stopping_tol(prev, cur):
     pa, pb = prev
     ca, cb = cur
     if not pa.shape == ca.shape == pb.shape == cb.shape:
-        raise DegenerateProblemError("estimates must all have the same shape")
+        raise DimensionError("estimates must all have the same shape")
     # one buffer holds each difference and square in turn (np.square(u) is
     # u ** 2 to the bit); at side 256 a buffer per component, two 512 KB
     # temporaries alive at once, made the call twice as slow in page faults

@@ -27,6 +27,11 @@ def identity_sensing(side):
     return linops.SensingMatrix(entries=np.eye(side))
 
 
+def full_mask(side):
+    """Mask with Omega equal to the whole grid."""
+    return linops.SamplingMask(grid=np.ones((side, side), dtype=bool))
+
+
 def read_metrics_csv(path):
     """The rows of a metrics CSV as dicts of strings."""
     with open(path, newline="") as fh:

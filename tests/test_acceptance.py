@@ -100,26 +100,24 @@ def test_criterion_3_divergences():
 
 def test_criterion_4_tv_denoiser():
     rng = np.random.default_rng(11)
-    spec = denoise.DenoiserSpec(kind="tv_bregman")
     increase = checks.tv_objective_decrease(
         (rng.standard_normal((16, 16)), float(rng.uniform(0.3, 3.0))) for _ in range(100))
     # local optimality at a well-converged solution
-    deep = denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=2000)
     x = rng.standard_normal((16, 16))
-    out = denoise.tv_denoise_bregman(x, 1.0, deep)
-    base = denoise.tv_objective(out.estimate, x, 1.0)
+    u, _, _ = denoise._tv_bregman_estimate(x, 1.0, 2000)
+    base = denoise.tv_objective(u, x, 1.0)
     probe_fails = 0
     for _ in range(50):
         p = rng.standard_normal((16, 16))
         p /= np.linalg.norm(p)
-        if base > denoise.tv_objective(out.estimate + 1e-4 * p, x, 1.0) + 1e-8:
+        if base > denoise.tv_objective(u + 1e-4 * p, x, 1.0) + 1e-8:
             probe_fails += 1
     # constant inputs are exact fixed points
     const_err = 0.0
     for value in (0.0, 0.5, -2.0):
         xc = np.full((12, 12), value)
         const_err = max(const_err, float(np.abs(
-            denoise.tv_denoise_bregman(xc, 1.5, spec).estimate - xc).max()))
+            denoise.tv_denoise_bregman(xc, 1.5).estimate - xc).max()))
     ok = increase <= 1e-12 and probe_fails == 0 and const_err == 0.0
     report(4, ok, f"largest objective increase {increase:.1e} over 100 inputs (<=1e-12), "
                   f"probe failures {probe_fails}/50, "
@@ -232,9 +230,10 @@ def test_criterion_9_dct_fast_path():
         (linops.gen_mask(side, int(0.6 * side * side), seed=side), rng.standard_normal((side, side)))
         for side in (8, 32, 64, 128, 256))
 
-    def interleaved_best_time(fast, explicit, reps, trials=15):
+    def interleaved_best_time(fast, explicit, reps, trials=45):
         # each trial times both paths back to back, so a burst of load
-        # on the host reaches both sides of the comparison
+        # on the host reaches both sides of the comparison; the best of
+        # many trials is the time of an unloaded moment for each path
         best_fast = best_explicit = float("inf")
         for _ in range(trials):
             tic = time.perf_counter()

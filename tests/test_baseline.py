@@ -38,7 +38,7 @@ class TestObjectiveEval:
         # noiseless full-sampling instance: only the penalty terms remain
         side = 8
         a = oracles.identity_sensing(side)
-        mask = linops.full_mask(side)
+        mask = oracles.full_mask(side)
         xa, xb = group_problem(side=side)[2:4]
         y = linops.forward(a, xa + xb, mask)
         cfg = baseline.BaselineConfig(**CFG_GROUP)
@@ -163,7 +163,7 @@ class TestBaselineSolve:
         # the solver output
         side = 4
         a = oracles.identity_sensing(side)
-        mask = linops.full_mask(side)
+        mask = oracles.full_mask(side)
         rng = np.random.default_rng(6)
         y = rng.standard_normal((side, side))
         cfg = baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, block_side=2,
@@ -291,7 +291,7 @@ class TestBaselineSolve:
 
         monkeypatch.setattr(denoise, "_tv_bregman_estimate", spy)
         a, mask, _, _, y = group_problem(seed=13)
-        cfg = baseline.BaselineConfig(lambda1=2.0, lambda2=1.4, max_iters=30, tv_inner_iters=5)
+        cfg = baseline.BaselineConfig(lambda1=2.0, lambda2=1.4, max_iters=30)
         baseline.baseline_solve(a, y, mask, cfg, "tv")
         assert len(calls) == 30 and calls[0][0] is None
         for (_, p_end, mu_end), (start, _, mu) in zip(calls, calls[1:]):

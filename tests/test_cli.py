@@ -162,6 +162,18 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert str(path) in err and "lacks params: seed, side" in err
 
+    def test_manifest_unknown_param_exit_2_writes_nothing(self, tmp_path, capsys):
+        # a key no run reads would be recorded as if it had shaped the run
+        params = cli._resolve_params(cli.build_parser().parse_args(["separate"]))
+        params.update(sensing="srm", zeta=1)
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"schema": cli.MANIFEST_SCHEMA, "params": params}))
+        out = tmp_path / "x"
+        assert run_cli("separate", "--manifest", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "unknown params: sensing, zeta" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_row_count_and_order(self, tmp_path):

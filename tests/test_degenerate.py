@@ -97,16 +97,25 @@ def test_degenerate_input(case, tmp_path):
 
 NAN, INF = float("nan"), float("inf")
 GRID = np.ones((4, 4))
-TV = denoise.DenoiserSpec(kind="tv_bregman")
 SOFT = denoise.DenoiserSpec(kind="soft")
+
+
+def _step_with_sides(state_side, y_side):
+    """One mixamp_step on an operator of side 4, with state and y of the given sides."""
+    op = linops.MeasurementOperator(linops.gen_gaussian_sensing(4, 10, 0),
+                                    linops.gen_mask(4, 10, 1))
+    state = solver.mixamp_init(np.ones((state_side, state_side)),
+                               linops.gen_mask(state_side, 10, 2))
+    return solver.mixamp_step(state, op, np.ones((y_side, y_side)), solver.MixAmpConfig(SOFT, SOFT))
+
 
 # Library calls with a bad argument, each with the error class it must raise.
 BAD_ARGUMENTS = {
     "soft_threshold-nan": (lambda: denoise.soft_threshold(GRID, NAN), DomainError),
     "soft_threshold_div-nan": (lambda: denoise.soft_threshold_div(GRID, NAN), DomainError),
     "block_soft_threshold-nan": (lambda: denoise.block_soft_threshold(GRID, 2, NAN), DomainError),
-    "tv_denoise_bregman-lam-nan": (lambda: denoise.tv_denoise_bregman(GRID, NAN, TV), DomainError),
-    "tv_denoise_bregman-lam-inf": (lambda: denoise.tv_denoise_bregman(GRID, INF, TV), DomainError),
+    "tv_denoise_bregman-lam-nan": (lambda: denoise.tv_denoise_bregman(GRID, NAN), DomainError),
+    "tv_denoise_bregman-lam-inf": (lambda: denoise.tv_denoise_bregman(GRID, INF), DomainError),
     "mc_divergence-eps-nan": (lambda: denoise.mc_divergence(lambda v: v, GRID, 0, eps=NAN),
                               DomainError),
     "DenoiserSpec-tau-inf": (lambda: denoise.DenoiserSpec(kind="soft", tau=INF), DomainError),
@@ -130,6 +139,10 @@ BAD_ARGUMENTS = {
         lambda: data.PhantomSpec(kind="group_sparse", active_fraction="0.5"), DomainError),
     "MixAmpConfig-damping-str": (lambda: solver.MixAmpConfig(SOFT, SOFT, damping="0.5"),
                                  DomainError),
+    "mixamp_step-state-side": (lambda: _step_with_sides(8, 4), DimensionError),
+    "mixamp_step-y-side": (lambda: _step_with_sides(4, 8), DimensionError),
+    "stopping_tol-shapes": (lambda: solver.stopping_tol((GRID, GRID), (GRID, np.ones((8, 8)))),
+                            DimensionError),
 }
 
 

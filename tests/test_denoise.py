@@ -194,17 +194,15 @@ class TestTvNorm:
 
 
 class TestTvDenoiseBregman:
-    SPEC = denoise.DenoiserSpec(kind="tv_bregman")
-
     def test_constant_fixed_point(self):
         x = np.full((8, 8), 0.7)
-        out = denoise.tv_denoise_bregman(x, 2.0, self.SPEC)
+        out = denoise.tv_denoise_bregman(x, 2.0)
         assert np.allclose(out.estimate, x, atol=1e-12)
 
     def test_huge_lambda_returns_input(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((8, 8))
-        out = denoise.tv_denoise_bregman(x, 1e8, self.SPEC)
+        out = denoise.tv_denoise_bregman(x, 1e8)
         assert np.abs(out.estimate - x).max() <= 1e-4
 
     def test_objective_never_increases(self):
@@ -218,33 +216,30 @@ class TestTvDenoiseBregman:
         rng = np.random.default_rng(16)
         x = np.tile(rng.standard_normal((8, 1)), (1, 8))
         lam = 1.5
-        spec = denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=400)
-        out = denoise.tv_denoise_bregman(x, lam, spec)
-        ours = denoise.tv_objective(out.estimate, x, lam)
+        u, _, _ = denoise._tv_bregman_estimate(x, lam, 400)
+        ours = denoise.tv_objective(u, x, lam)
         oracle_best = oracles.subgrad_descent_tv(x, lam, iters=3000, restarts=20, seed=0)
         assert ours <= oracle_best + 1e-3
 
     def test_local_optimality_probes(self):
         rng = np.random.default_rng(17)
-        spec = denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=2000)
         x = rng.standard_normal((16, 16))
-        out = denoise.tv_denoise_bregman(x, 1.0, spec)
-        base = denoise.tv_objective(out.estimate, x, 1.0)
+        u, _, _ = denoise._tv_bregman_estimate(x, 1.0, 2000)
+        base = denoise.tv_objective(u, x, 1.0)
         for _ in range(50):
             p = rng.standard_normal((16, 16))
             p /= np.linalg.norm(p)
-            assert base <= denoise.tv_objective(out.estimate + 1e-4 * p, x, 1.0) + 1e-8
+            assert base <= denoise.tv_objective(u + 1e-4 * p, x, 1.0) + 1e-8
 
     def test_warning_flag_when_truncated(self):
         rng = np.random.default_rng(18)
         x = rng.standard_normal((16, 16))
-        short = denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=2)
-        out = denoise.tv_denoise_bregman(x, 1.0, short)
-        assert not out.tv_converged
+        _, converged, _ = denoise._tv_bregman_estimate(x, 1.0, 2)
+        assert not converged
 
     def test_bad_lambda(self):
         with pytest.raises(DomainError):
-            denoise.tv_denoise_bregman(np.zeros((4, 4)), 0.0, self.SPEC)
+            denoise.tv_denoise_bregman(np.zeros((4, 4)), 0.0)
 
 
 def _tv_kernel_inputs(side):
@@ -278,13 +273,13 @@ class TestTvKernelMatchesReference:
         assert np.array_equal(u_one, u_long)
 
     def test_divergence_matches_reference_probe(self):
-        spec = denoise.DenoiserSpec(kind="tv_bregman")
+        iters = denoise._TV_INNER_ITERS
         for side in (5, 16):
             x = _tv_kernel_inputs(side)["cartoon"]
-            out = denoise.tv_denoise_bregman(x, 2.0, spec, probe_seed=7)
-            u_ref, converged_ref = oracles.tv_bregman_reference(x, 2.0, spec.tv_inner_iters)
+            out = denoise.tv_denoise_bregman(x, 2.0, probe_seed=7)
+            u_ref, converged_ref = oracles.tv_bregman_reference(x, 2.0, iters)
             div_ref = denoise.mc_divergence(
-                lambda v: oracles.tv_bregman_reference(v, 2.0, spec.tv_inner_iters)[0], x,
+                lambda v: oracles.tv_bregman_reference(v, 2.0, iters)[0], x,
                 probe_seed=7, eps=1e-3,
             )
             assert np.array_equal(out.estimate, u_ref)
@@ -292,9 +287,9 @@ class TestTvKernelMatchesReference:
             assert out.divergence_avg == min(max(div_ref, 0.0), 1.0)
 
     def test_baseline_prox_matches_reference(self):
-        cfg = baseline.BaselineConfig(lambda1=1.0, lambda2=1.0, tv_inner_iters=7)
+        cfg = baseline.BaselineConfig(lambda1=1.0, lambda2=1.0)
         v = _tv_kernel_inputs(12)["cartoon"]
-        u_ref, _ = oracles.tv_bregman_reference(v, 1.0 / 0.4, 7)
+        u_ref, _ = oracles.tv_bregman_reference(v, 1.0 / 0.4, denoise._TV_INNER_ITERS)
         u, _ = baseline._prox_b(v, 0.4, cfg, "tv")
         assert np.array_equal(u, u_ref)
 
@@ -352,11 +347,10 @@ class TestTvWarmStart:
     def test_probe_is_a_finite_difference_of_the_warm_map(self):
         _, state = _converged_state(self.X, 1.0)
         before = _arrays(state)
-        spec = denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=5)
-        out = denoise.tv_denoise_bregman(self.X, 1.7, spec, state, probe_seed=3)
+        out = denoise.tv_denoise_bregman(self.X, 1.7, state, probe_seed=3)
 
         def warm_map(v):
-            return denoise._tv_bregman_estimate(v, 1.7, 5, state)[0]
+            return denoise._tv_bregman_estimate(v, 1.7, denoise._TV_INNER_ITERS, state)[0]
 
         div = denoise.mc_divergence(warm_map, self.X, probe_seed=3, eps=1e-3)
         assert np.array_equal(out.estimate, warm_map(self.X))
@@ -365,8 +359,8 @@ class TestTvWarmStart:
         assert out.tv_state is not state and out.tv_state.mu == 2.0 * 1.7
 
     def test_cold_call_returns_a_state(self):
-        out = denoise.tv_denoise_bregman(self.X, 1.3, denoise.DenoiserSpec(kind="tv_bregman"))
-        u_ref, _ = oracles.tv_bregman_reference(self.X, 1.3, 20)
+        out = denoise.tv_denoise_bregman(self.X, 1.3)
+        u_ref, _ = oracles.tv_bregman_reference(self.X, 1.3, denoise._TV_INNER_ITERS)
         assert np.array_equal(out.estimate, u_ref)
         assert out.tv_state.mu == 2.0 * 1.3
 

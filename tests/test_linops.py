@@ -8,7 +8,8 @@ import scipy.fft
 
 import oracles
 from mixamp import checks, linops
-from mixamp.exceptions import DegenerateProblemError, DimensionError, UnsupportedSizeError
+from mixamp.exceptions import (DegenerateProblemError, DimensionError, DomainError,
+                               UnsupportedSizeError)
 
 
 class TestGaussianSensing:
@@ -139,7 +140,7 @@ class TestMaskApply:
     def test_full_mask_is_identity(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((8, 8))
-        assert np.array_equal(linops.mask_apply(linops.full_mask(8), z), z)
+        assert np.array_equal(linops.mask_apply(oracles.full_mask(8), z), z)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
@@ -170,7 +171,7 @@ class TestForwardAdjoint:
     def test_identity_matrix_full_mask(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 8))
-        out = linops.forward(oracles.identity_sensing(8), x, linops.full_mask(8))
+        out = linops.forward(oracles.identity_sensing(8), x, oracles.full_mask(8))
         assert np.allclose(out, x, atol=0)
 
     def test_zero_input(self):
@@ -263,12 +264,12 @@ class TestDctFastForward:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((8, 8))
         a = linops.dct_sensing(8)
-        fast = linops.dct_fast_forward(x, linops.full_mask(8))
+        fast = linops.dct_fast_forward(x, oracles.full_mask(8))
         assert np.abs(fast - a.entries @ x @ a.entries.T).max() <= 1e-10
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(UnsupportedSizeError):
-            linops.dct_fast_forward(np.zeros((12, 12)), linops.full_mask(12))
+            linops.dct_fast_forward(np.zeros((12, 12)), oracles.full_mask(12))
 
 
 def _bits(z):
@@ -389,6 +390,15 @@ class TestMeasurementOperator:
         x = rng.standard_normal((16, 16))
         assert np.array_equal(op.forward(x), linops.forward(dense, x, mask))
         assert np.array_equal(op.adjoint(x), linops.adjoint(dense, x))
+
+    @pytest.mark.parametrize("matrix", ["dct", "gaussian"])
+    @pytest.mark.parametrize("scale", [0.0, -1.3, float("nan"), float("inf"), True],
+                             ids=["zero", "negative", "nan", "inf", "bool"])
+    def test_bad_scale_is_a_domain_error(self, matrix, scale):
+        # a zero scale would build a zero operator, a non-finite one
+        # non-finite products; both forms reject it by name
+        with pytest.raises(DomainError, match="scale must be a finite real number > 0"):
+            self.operator(matrix, 16, scale)
 
     def test_side_mismatch(self):
         with pytest.raises(DimensionError):

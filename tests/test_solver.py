@@ -28,14 +28,14 @@ def small_problem(side=16, mn=0.8, seed=0):
 
 class TestInit:
     def test_zero_measurements(self):
-        mask = linops.full_mask(4)
+        mask = oracles.full_mask(4)
         state = solver.mixamp_init(np.zeros((4, 4)), mask)
         assert state.theta == 0.0
         assert not state.xa.any() and not state.xb.any()
         assert state.t == 0
 
     def test_theta_formula_small(self):
-        mask = linops.full_mask(2)
+        mask = oracles.full_mask(2)
         state = solver.mixamp_init(np.ones((2, 2)), mask)
         assert state.theta == pytest.approx(1.0)
 
@@ -103,7 +103,7 @@ class TestStep:
         # (r + xa) with r = y at t = 0
         side = 8
         a = oracles.identity_sensing(side)
-        mask = linops.full_mask(side)
+        mask = oracles.full_mask(side)
         rng = np.random.default_rng(8)
         y = rng.standard_normal((side, side))
         state = solver.mixamp_init(y, mask)
@@ -156,7 +156,7 @@ def _operator_problem(sensing, seed):
     return op, y
 
 
-TV5 = denoise.DenoiserSpec(kind="tv_bregman", tau=1.0, tv_inner_iters=5)
+TV5 = denoise.DenoiserSpec(kind="tv_bregman", tau=1.0)
 
 
 class TestStepMatchesReference:
@@ -398,7 +398,7 @@ class TestBackoff:
 class TestTvStateCarry:
     """A TV component hands its split-Bregman state on from step to step."""
 
-    TV = denoise.DenoiserSpec(kind="tv_bregman", tau=1.0, tv_inner_iters=5)
+    TV = denoise.DenoiserSpec(kind="tv_bregman", tau=1.0)
 
     def setup(self, damping):
         a, mask, _, _, y = small_problem(seed=3)
@@ -424,17 +424,16 @@ class TestTvStateCarry:
         op, y, cfg, s1 = self.setup(damping=1.0)
         thr = denoise.threshold_from_theta(s1.theta, self.TV.tau)
         seed = 2 * s1.t + 1
-        expected = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, self.TV, s1.tv_b,
+        expected = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, s1.tv_b,
                                               probe_seed=seed)
-        cold = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, self.TV,
-                                          probe_seed=seed)
+        cold = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, probe_seed=seed)
         s2 = solver.mixamp_step(s1, op, y, cfg)
         assert np.array_equal(s2.xb, expected.estimate)
         assert not np.array_equal(s2.xb, cold.estimate)
 
     def test_identity_path_hands_on_no_state(self):
         x = np.random.default_rng(4).standard_normal((8, 8))
-        state = denoise.tv_denoise_bregman(x, 1.0, self.TV).tv_state
+        state = denoise.tv_denoise_bregman(x, 1.0).tv_state
         out = solver.apply_denoiser(self.TV, x, 0.0, tv_state=state)
         assert np.array_equal(out.estimate, x) and out.tv_state is None
 
@@ -503,7 +502,7 @@ class TestNormalizeProblem:
 
     def test_identity_full_mask_mild_scale(self):
         a = oracles.identity_sensing(8)
-        mask = linops.full_mask(8)
+        mask = oracles.full_mask(8)
         y = np.ones((8, 8))
         _, c = solver.normalize_problem(a, y, mask)
         assert c == pytest.approx(1.0)
@@ -519,10 +518,7 @@ class TestConfigRejectsNaN:
         lambda: solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=SOFT, max_iters=10.0),
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, max_iters=float("nan")),
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, max_iters=True),
-        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_inner_iters=2.5),
-        lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, tv_inner_iters=0),
         lambda: baseline.BaselineConfig(lambda1=0.5, lambda2=1.2, block_side=0),
-        lambda: denoise.DenoiserSpec(kind="tv_bregman", tv_inner_iters=float("nan")),
         lambda: denoise.DenoiserSpec(kind="block_soft", block_side=4.0),
         lambda: denoise.DenoiserSpec(kind="block_soft", block_side=float("nan")),
         lambda: denoise.DenoiserSpec(kind="soft", tau=float("inf")),
@@ -532,9 +528,7 @@ class TestConfigRejectsNaN:
     ], ids=["DenoiserSpec.tau", "MixAmpConfig.tol", "BaselineConfig.rho", "BaselineConfig.lambda1",
             "MixAmpConfig.max_iters-nan", "MixAmpConfig.max_iters-float",
             "BaselineConfig.max_iters-nan", "BaselineConfig.max_iters-bool",
-            "BaselineConfig.tv_inner_iters-float", "BaselineConfig.tv_inner_iters-zero",
-            "BaselineConfig.block_side-zero", "DenoiserSpec.tv_inner_iters-nan",
-            "DenoiserSpec.block_side-float",
+            "BaselineConfig.block_side-zero", "DenoiserSpec.block_side-float",
             "DenoiserSpec.block_side-nan", "DenoiserSpec.tau-inf", "MixAmpConfig.tol-inf",
             "BaselineConfig.rho-inf", "BaselineConfig.lambda1-inf"])
     def test_nan_is_a_domain_error(self, build):
