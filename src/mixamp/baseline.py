@@ -10,9 +10,13 @@ constrained form the objectives are usually stated in.
 
 The iteration is a monotone FISTA: the accelerated candidate is kept
 only when it does not increase the objective, so the recorded objective
-sequence never rises. A long streak of rejected candidates resets the
-momentum; if plain descent steps keep failing afterwards the step size
-is wrong and a SolverError is raised.
+sequence never rises. One count, of candidates rejected in a row (reset
+by an accept), drives both remedies. Every _RESTART_PATIENCE-th rejection
+in a row resets the momentum, so the step after it is a plain proximal
+gradient step, which cannot increase the objective unless the step size
+1/L is wrong. The count passes _RESTART_PATIENCE ** 2 when the
+_RESTART_PATIENCE-th such plain step in a row fails, and that raises
+SolverError.
 
 Each iteration applies the measurement map once each way: the adjoint
 for the gradient and the forward product for the candidate's objective.
@@ -157,8 +161,7 @@ def baseline_solve(a, y, mask, cfg, variant):
     r_prev = rz = rx
     resid_norm = float(np.linalg.norm(rx))
     trace = solver.IterationTrace()
-    reject_streak = 0
-    plain_failures = 0
+    rejections = 0  # candidates rejected in a row
 
     for it in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
@@ -170,33 +173,24 @@ def baseline_solve(a, y, mask, cfg, variant):
                                    variant, tv_state)
         f_cand, r_cand = objective_eval(cand_a, cand_b, op, y, cfg, variant)
 
-        restarted = t_k == 1.0 and it > 1
         accepted = f_cand <= fx + _ACCEPT_SLACK
         if accepted:
             xa_new, xb_new, f_new, r_new = cand_a, cand_b, f_cand, r_cand
             tol_value = solver.stopping_tol((xa, xb), (xa_new, xb_new))
             resid_norm = float(np.linalg.norm(r_new))
-            reject_streak = 0
-            plain_failures = 0
+            rejections = 0
         else:
             # the state, and so its residual norm, stays as it was
             xa_new, xb_new, f_new, r_new = xa, xb, fx, rx
             tol_value = 0.0
-            reject_streak += 1
-            if restarted:
-                # a rejected step from a fresh restart is a plain proximal
-                # gradient step; it cannot increase F unless L is too small
-                plain_failures += 1
-                if plain_failures >= _RESTART_PATIENCE:
-                    raise SolverError(
-                        f"objective kept increasing after restarts at iteration {it}"
-                    )
+            rejections += 1
+            if rejections > _RESTART_PATIENCE ** 2:
+                raise SolverError(f"objective kept increasing after restarts at iteration {it}")
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        if reject_streak >= _RESTART_PATIENCE:
+        if rejections and rejections % _RESTART_PATIENCE == 0:
             za, zb, rz = xa_new, xb_new, r_new
             t_next = 1.0
-            reject_streak = 0
         else:
             alpha, beta = t_k / t_next, (t_k - 1.0) / t_next
             za = _extrapolate(xa_new, cand_a, xa_prev, alpha, beta)

@@ -60,7 +60,7 @@ def _add_run_arguments(parser, case, sparsity):
     parser.add_argument("--active-fraction", type=float, default=0.25,
                         help="fraction of active tiles in the group phantom")
     parser.add_argument("--image", type=str, default=None,
-                        help="square PGM for the tv case (default: procedural scene)")
+                        help="square PGM for the tv case only (default: procedural scene)")
     parser.add_argument("--solver", choices=SOLVERS, default="mixamp")
     parser.add_argument("--max-iters", type=int, default=500)
     parser.add_argument("--tol", type=float, default=5e-4)
@@ -186,6 +186,9 @@ def _validate_params(p):
         check_choice(f"param {key}", p[key], choices)
     if p["image"] is not None and not isinstance(p["image"], str):
         raise MixAmpError(f"param image must be a file path or null, got {p['image']!r}")
+    if p["image"] is not None and p["case"] != "tv":
+        raise MixAmpError(f"param image must be null outside the tv case, got {p['image']!r} "
+                          f"for case {p['case']!r}")
     if p["sampling"] > 1.0:
         raise MixAmpError(f"sampling must lie in (0, 1], got {p['sampling']}")
     _sample_count(p)
@@ -299,8 +302,7 @@ def run_separation(p, out_dir):
                 xa_hat, xb_hat, trace = baseline.baseline_solve(a, y, mask, cfg, p["case"])
         except SolverDivergenceError as err:
             print(f"mixamp: {name} diverged at iteration {err.iteration}", file=sys.stderr)
-            if err.trace is not None:
-                err.trace.to_csv(out / f"trace{suffix(name)}.csv", p["record_timing"])
+            err.trace.to_csv(out / f"trace{suffix(name)}.csv", p["record_timing"])
             code = 1
             continue
         wall_ms = (time.perf_counter() - tic) * 1e3

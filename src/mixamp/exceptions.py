@@ -45,14 +45,15 @@ class DegenerateProblemError(MixAmpError, ValueError):
 
 
 class SolverDivergenceError(MixAmpError, RuntimeError):
-    """Non-finite values appeared mid-iteration, or theta blew up at the
-    damping floor of a mixamp run.
+    """A mixamp run's theta blew up at its damping floor: a step's theta
+    was non-finite or above the bound on it (see solver.mixamp_run, the
+    one place that raises it).
 
-    Carries the iteration index where divergence was detected and, when the
-    failing run recorded one, the partial iteration trace.
+    Carries the iteration index where divergence was detected and the
+    partial iteration trace of the run.
     """
 
-    def __init__(self, message, iteration, trace=None):
+    def __init__(self, message, iteration, trace):
         super().__init__(message)
         self.iteration = iteration
         self.trace = trace

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from mixamp import baseline, denoise, linops, solver
-from mixamp.exceptions import SolverDivergenceError
 
 
 def identity_sensing(side):
@@ -266,9 +265,6 @@ def reference_mixamp_step(state, op, y, cfg):
         if beta != 1.0:
             r_new = (1.0 - beta) * state.r + beta * r_new
         theta_new = float((r_new ** 2).sum() / m)
-    if not np.isfinite(theta_new):
-        raise SolverDivergenceError(f"non-finite residual at iteration {state.t + 1}",
-                                    iteration=state.t + 1)
     return solver.MixAmpState(xa=xa_new, xb=xb_new, r=r_new, theta=theta_new, t=state.t + 1,
                               tv_a=out_a.tv_state, tv_b=out_b.tv_state)
 

@@ -1,5 +1,7 @@
 """Baseline solver tests: objective, optimality probes, step-size bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,31 @@ class TestBaselineSolve:
         scale = max(np.abs(ref_a).max(), np.abs(ref_b).max())
         assert np.abs(xa - ref_a).max() <= 1e-12 * scale
         assert np.abs(xb - ref_b).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("variant", ["group", "tv"])
+    @pytest.mark.parametrize("shrink", [5, 50])
+    def test_gives_up_when_the_step_is_too_long(self, variant, shrink, monkeypatch):
+        # with a step 1/L five or fifty times too long the candidates soon stop
+        # lowering F; at fifty, from the first one. Every _RESTART_PATIENCE-th
+        # rejection in a row restarts the momentum, and the run gives up when
+        # the _RESTART_PATIENCE-th plain step after a restart fails. That is
+        # rejection _RESTART_PATIENCE ** 2 + 1 in a row, found here in the
+        # accept pattern of the reference FISTA, which never gives up
+        estimate = baseline.estimate_lipschitz
+        monkeypatch.setattr(baseline, "estimate_lipschitz",
+                            lambda op, cfg: estimate(op, cfg) / shrink)
+        a, mask, _, _, y = group_problem()
+        lambdas = CFG_GROUP if variant == "group" else CFG_TV
+        cfg = baseline.BaselineConfig(max_iters=1000, **lambdas)
+        streak = "0" * (baseline._RESTART_PATIENCE ** 2 + 1)
+        # the reference stops soon after that rejection: further on, a fifty-fold
+        # step can overflow its iterates
+        _, _, _, accepted = oracles.reference_fista(a, y, mask,
+                                                    replace(cfg, max_iters=len(streak) + 9), variant)
+        last = "".join("01"[k] for k in accepted).index(streak) + len(streak)
+        assert shrink == 5 or last == len(streak)
+        with pytest.raises(SolverError, match=f"kept increasing after restarts at iteration {last}$"):
+            baseline.baseline_solve(a, y, mask, cfg, variant)
 
     @pytest.mark.parametrize("variant", ["group", "tv"])
     def test_record_residual_norm_matches_state(self, variant):

@@ -84,6 +84,14 @@ class TestSeparate:
         assert f"ground-truth {component} is all zeros" in err and "rounds to 0" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_image_outside_the_tv_case_exit_2_before_any_output(self, tmp_path, capsys):
+        # a group run never reads the image, so its manifest must not record one
+        out = tmp_path / "x"
+        assert run_cli("separate", "--case", "group", "--side", "16",
+                       "--image", str(tmp_path / "none.pgm"), "--out", str(out)) == 2
+        assert "param image must be null outside the tv case" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tv_both_solvers_byte_identical(self, tmp_path):
         # no TV solve state leaks from one run into the next
         dirs = [tmp_path / "t1", tmp_path / "t2"]
@@ -233,7 +241,9 @@ class TestSweep:
         ["--case", "group", "--block", "3"],
         ["--sparsity", "0.001"],
         ["--sampling", "0.5,0.001"],
-    ], ids=["tau-a", "seed", "max-iters", "sparsity", "block", "zero-truth", "no-samples"])
+        ["--case", "group", "--image", "none.pgm"],
+    ], ids=["tau-a", "seed", "max-iters", "sparsity", "block", "zero-truth", "no-samples",
+            "image-group"])
     def test_bad_flag_exit_2_before_any_output(self, tmp_path, argv):
         out = tmp_path / "sw"
         assert run_cli("sweep", "--side", "16", *argv, "--out", str(out)) == 2
@@ -408,14 +418,17 @@ class TestManifestParamTypes:
         ("disjoint", "yes"),     # string for a flag
         ("case", "wavelet"),     # unknown choice
         ("image", 5),            # number for a path
+        ("image", "none.pgm"),   # path in a group run, which reads no image
     ])
     def test_wrong_type_exit_2_names_key(self, tmp_path, capsys, key, value):
         params = cli._resolve_params(cli.build_parser().parse_args(["separate"]))
         params[key] = value
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({"schema": cli.MANIFEST_SCHEMA, "params": params}))
-        assert run_cli("separate", "--manifest", str(path), "--out", str(tmp_path / "x")) == 2
+        out = tmp_path / "x"
+        assert run_cli("separate", "--manifest", str(path), "--out", str(out)) == 2
         assert f"param {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_flag_exit_2_names_key(self, tmp_path, capsys):
         # --tau sets both thresholds; the first one checked is named

@@ -394,6 +394,38 @@ class TestBackoff:
         assert len(set(steps)) == trace.backoffs + 1
         assert [r.t for r in trace.records] == list(range(1, len(trace) + 1))
 
+    def nan_first_problem(self, monkeypatch):
+        """The problem whose guard never fires, with a first denoising that returns NaN,
+        so the first step's theta is NaN."""
+        _, mask, xa, xb, _ = small_problem(side=32, mn=0.7, seed=2)
+        a = linops.dct_sensing(32)
+        calls = []
+        denoiser = solver.apply_denoiser
+
+        def nan_first(spec, x, *args):
+            out = denoiser(spec, x, *args)
+            calls.append(spec)
+            if len(calls) == 1:
+                out = denoise.DenoiseOutput(estimate=np.full_like(out.estimate, np.nan),
+                                            divergence_avg=out.divergence_avg)
+            return out
+
+        monkeypatch.setattr(solver, "apply_denoiser", nan_first)
+        return a, linops.forward(a, xa + xb, mask), mask
+
+    def test_a_non_finite_step_backs_off_above_the_floor(self, monkeypatch):
+        a, y, mask = self.nan_first_problem(monkeypatch)
+        xa, xb, trace = solver.mixamp_run(a, y, mask, solver.MixAmpConfig(**self.SPECS, damping=0.3))
+        assert trace.backoffs == 1 and trace.damping_final == solver.BACKOFF
+        assert np.isfinite(xa).all() and np.isfinite(xb).all()
+        assert trace.converged
+
+    def test_a_non_finite_step_at_the_floor_diverges(self, monkeypatch):
+        a, y, mask = self.nan_first_problem(monkeypatch)
+        with pytest.raises(SolverDivergenceError) as info:
+            solver.mixamp_run(a, y, mask, solver.MixAmpConfig(**self.SPECS, damping=1.0))
+        assert info.value.iteration == 1 and info.value.trace is not None
+
 
 class TestTvStateCarry:
     """A TV component hands its split-Bregman state on from step to step."""
