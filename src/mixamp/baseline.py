@@ -16,7 +16,9 @@ in a row resets the momentum, so the step after it is a plain proximal
 gradient step, which cannot increase the objective unless the step size
 1/L is wrong. The count passes _RESTART_PATIENCE ** 2 when the
 _RESTART_PATIENCE-th such plain step in a row fails, and that raises
-SolverError.
+SolverDivergenceError with the partial trace, the give-up error of mixamp
+too. A measurement map that is identically zero never reaches the solve:
+linops.MeasurementOperator rejects it.
 
 Each iteration applies the measurement map once each way: the adjoint
 for the gradient and the forward product for the candidate's objective.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoise, linops, solver
-from .exceptions import SolverError, check_block_side, check_choice, check_count, check_real
+from .exceptions import SolverDivergenceError, check_block_side, check_choice, check_count, check_real
 
 BASELINE_VARIANTS = ("group", "tv")
 
@@ -87,7 +89,8 @@ def estimate_lipschitz(op, cfg):
     1/L step never overshoots. An operator in the fast DCT form has an
     orthonormal matrix, so M*M = c^4 A^T P_Omega A is c^4 times an
     orthogonal projection (a mask is never empty) and the eigenvalue is
-    2 c^4 in closed form. Every dense matrix is estimated by power iteration.
+    2 c^4 in closed form. Every dense matrix is estimated by power iteration;
+    the operator is never the zero map, which MeasurementOperator rejects.
     """
     if op.fast:
         return cfg.rho * 2.0 * op.gain * op.gain * 1.02
@@ -99,8 +102,6 @@ def estimate_lipschitz(op, cfg):
     for _ in range(_POWER_ITERS):
         w = op.adjoint(op.forward(va + vb))
         lam_max = float(np.sqrt(2.0 * (w ** 2).sum()))
-        if lam_max == 0.0:
-            break
         va = w / lam_max
         vb = va
     return cfg.rho * lam_max * 1.02
@@ -133,15 +134,19 @@ def _extrapolate(new, cand, prev, alpha, beta):
 
 
 def baseline_solve(a, y, mask, cfg, variant):
-    """Monotone accelerated proximal gradient; returns (xa, xb, trace)."""
+    """Monotone accelerated proximal gradient; returns (xa, xb, trace).
+
+    Runs at most cfg.max_iters iterations, like mixamp_run, and sets
+    trace.converged when an accepted step meets cfg.tol. Gives up with
+    SolverDivergenceError, naming the iteration and carrying the partial
+    trace (see the module docstring).
+    """
     check_choice("variant", variant, BASELINE_VARIANTS)
     if variant == "group":
         check_block_side(a.side, cfg.block_side)
     y = linops.masked_measurements(mask, y)
     op = linops.MeasurementOperator(a, mask)
     lip = estimate_lipschitz(op, cfg)
-    if lip == 0.0:
-        raise SolverError("composed operator is identically zero")
 
     side = a.side
     xa = np.zeros((side, side))
@@ -185,7 +190,8 @@ def baseline_solve(a, y, mask, cfg, variant):
             tol_value = 0.0
             rejections += 1
             if rejections > _RESTART_PATIENCE ** 2:
-                raise SolverError(f"objective kept increasing after restarts at iteration {it}")
+                msg = f"objective kept increasing after restarts at iteration {it}"
+                raise SolverDivergenceError(msg, iteration=it, trace=trace)
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         if rejections and rejections % _RESTART_PATIENCE == 0:

@@ -6,7 +6,7 @@ Subcommands:
   selfcheck  run each check of mixamp.checks on a few instances, print
              PASS/FAIL with the worst violation against its bound
 
-Exit codes: 0 success, 1 solver divergence, 2 usage error.
+Exit codes: 0 success, 1 a solver gave up (diverged), 2 usage error.
 """
 
 import argparse
@@ -261,7 +261,7 @@ def _mixamp_config(p):
 def _baseline_config(p):
     return baseline.BaselineConfig(
         lambda1=p["lambda1"], lambda2=p["lambda2"], rho=p["rho"],
-        max_iters=max(p["max_iters"], 1000), tol=p["tol"], block_side=p["block"],
+        max_iters=p["max_iters"], tol=p["tol"], block_side=p["block"],
     )
 
 
@@ -276,7 +276,10 @@ def run_separation(p, out_dir):
     """Execute one experiment; returns (exit_code, metric rows).
 
     Params, problem and every solver config are checked before the output
-    directory is created, so a rejected run writes nothing.
+    directory is created, so a rejected run writes nothing. A solver that
+    gives up (SolverDivergenceError) keeps its partial trace and a manifest
+    record with diverged_at, and the run goes on to the next solver and
+    returns exit code 1.
     """
     _validate_params(p)
     configs = _solver_configs(p)
@@ -295,6 +298,7 @@ def run_separation(p, out_dir):
     code = 0
     for name, cfg in configs.items():
         tic = time.perf_counter()
+        failure = None
         try:
             if name == "mixamp":
                 xa_hat, xb_hat, trace = solver.mixamp_run(a, y, mask, cfg)
@@ -302,11 +306,21 @@ def run_separation(p, out_dir):
                 xa_hat, xb_hat, trace = baseline.baseline_solve(a, y, mask, cfg, p["case"])
         except SolverDivergenceError as err:
             print(f"mixamp: {name} diverged at iteration {err.iteration}", file=sys.stderr)
-            err.trace.to_csv(out / f"trace{suffix(name)}.csv", p["record_timing"])
-            code = 1
-            continue
+            failure, trace = err, err.trace
         wall_ms = (time.perf_counter() - tic) * 1e3
         trace.to_csv(out / f"trace{suffix(name)}.csv", p["record_timing"])
+        record = manifest["outputs"][name] = {
+            "trace": f"trace{suffix(name)}.csv",
+            "iters": len(trace),
+            "converged": trace.converged,
+        }
+        if name == "mixamp":
+            record.update(damping_final=trace.damping_final, backoffs=trace.backoffs)
+        if failure is not None:
+            record["diverged_at"] = failure.iteration
+            code = 1
+            continue
+        record.update(xhat_a=f"xhat_a{suffix(name)}.pgm", xhat_b=f"xhat_b{suffix(name)}.pgm")
         data.save_image_pgm(xa_hat, out / f"xhat_a{suffix(name)}.pgm")
         data.save_image_pgm(xb_hat, out / f"xhat_b{suffix(name)}.pgm")
         rows.append({
@@ -320,16 +334,6 @@ def run_separation(p, out_dir):
             "wall_ms": f"{wall_ms:.3f}" if p["record_timing"] else "0.000",
             "solver": name,
         })
-        manifest["outputs"][name] = {
-            "xhat_a": f"xhat_a{suffix(name)}.pgm",
-            "xhat_b": f"xhat_b{suffix(name)}.pgm",
-            "trace": f"trace{suffix(name)}.csv",
-            "iters": len(trace),
-            "converged": trace.converged,
-        }
-        if name == "mixamp":
-            manifest["outputs"][name].update(damping_final=trace.damping_final,
-                                             backoffs=trace.backoffs)
     data.write_metrics_csv(out / "metrics.csv", rows)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

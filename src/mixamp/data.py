@@ -65,7 +65,8 @@ def gen_shot_noise(spec, forbidden=None):
     else:
         candidates = np.flatnonzero(~np.asarray(forbidden, dtype=bool).ravel())
     if k > candidates.size:
-        raise DomainError("not enough admissible positions for the requested sparsity")
+        raise DomainError(f"not enough admissible positions for the requested sparsity: "
+                          f"{candidates.size} admissible, {k} impulses requested")
     pos = rng.choice(candidates, size=k, replace=False)
     out[pos] = rng.choice((-1.0, 1.0), size=k)
     return out.reshape(spec.side, spec.side)

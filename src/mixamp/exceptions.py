@@ -40,27 +40,26 @@ class ImageFormatError(MixAmpError, ValueError):
 
 
 class DegenerateProblemError(MixAmpError, ValueError):
-    """The measurement setup carries no usable information: a mask with no
-    samples or an all-zero sensing matrix, rejected when it is built."""
+    """The measurement setup carries no usable information, rejected when
+    it is built: a mask with no samples, an all-zero sensing matrix, or a
+    matrix and mask whose composed map is zero (see
+    linops.MeasurementOperator, where both solvers meet that check)."""
 
 
 class SolverDivergenceError(MixAmpError, RuntimeError):
-    """A mixamp run's theta blew up at its damping floor: a step's theta
-    was non-finite or above the bound on it (see solver.mixamp_run, the
-    one place that raises it).
+    """A solver gave up. Raised at two places: solver.mixamp_run, when
+    theta blows up at the damping floor (a step's theta was non-finite
+    or above the bound on it), and baseline.baseline_solve, when the
+    objective kept rising after its momentum restarts.
 
-    Carries the iteration index where divergence was detected and the
-    partial iteration trace of the run.
+    Carries the iteration index where the solver gave up and the partial
+    iteration trace of the run.
     """
 
     def __init__(self, message, iteration, trace):
         super().__init__(message)
         self.iteration = iteration
         self.trace = trace
-
-
-class SolverError(MixAmpError, RuntimeError):
-    """The solver could not make progress (persistent objective increase)."""
 
 
 def check_count(name, value, minimum, error=DomainError):

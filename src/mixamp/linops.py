@@ -230,12 +230,21 @@ class MeasurementOperator:
     forward() and adjoint() with the matrix cA, built once here as
     c * a.entries. Both forms call the public functions of this module,
     so a profiler or tracer sees every product.
+
+    Entry (k, l) of the product is sum_ij A[k, i] X[i, j] A[l, j], so the
+    map is zero exactly when no sampled (k, l) pairs two non-zero rows of
+    A, say only A[0, 0] non-zero and (0, 0) unsampled. Such a map is a
+    DegenerateProblemError here, the one check of it for both solvers,
+    before any product runs.
     """
 
     def __init__(self, a, mask, scale=1.0):
         check_real("scale", scale, strict=True)
         if mask.side != a.side:
             raise DimensionError(f"mask side {mask.side} does not match matrix side {a.side}")
+        rows = a.entries.any(axis=1)
+        if not rows @ mask.grid @ rows:  # boolean: some sampled (k, l) with rows k, l non-zero
+            raise DegenerateProblemError("the measurement map is identically zero")
         self.mask = mask
         self.side = a.side
         self.fast = (_is_power_of_two(a.side)

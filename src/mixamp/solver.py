@@ -20,7 +20,8 @@ or exceeds BLOWUP_FACTOR * theta_0 is discarded, the run returns to its
 lowest-theta state so far and multiplies its step by BACKOFF, never
 below the configured damping, which is the most damped step a run may
 fall back to. A blow-up at that floor raises SolverDivergenceError, the
-one place the package raises it. theta_0 = ||Y||_F^2 / M is the
+one give-up error of both solvers (baseline.baseline_solve raises it
+too, with its partial trace). theta_0 = ||Y||_F^2 / M is the
 residual of the zero estimate, so a bound on it means "no worse than
 estimating nothing". A bound on the running minimum of theta would not
 do: near exact recovery theta falls by orders of magnitude and can then
@@ -262,11 +263,13 @@ def normalize_problem(a, y, mask):
 def mixamp_run(a, y, mask, cfg):
     """Iterate mixamp_step until the stopping rule or max_iters.
 
-    Returns (xa, xb, trace). A block side that does not divide the grid
-    side raises DimensionError, and a non-finite sampled measurement
-    DomainError, before any work. The step starts at 1.0 and backs off
-    on each blow-up (see the module docstring); discarded steps count
-    toward max_iters, and the trace holds the accepted path only. A
+    Returns (xa, xb, trace). Before any work, a block side that does not
+    divide the grid side raises DimensionError, a non-finite sampled
+    measurement DomainError, and a measurement map that is identically
+    zero DegenerateProblemError (from linops.MeasurementOperator). The
+    step starts at 1.0 and backs off on each blow-up (see the module
+    docstring); discarded steps count toward max_iters, and the trace
+    holds the accepted path only. A
     blow-up at the damping floor raises SolverDivergenceError naming the
     iteration after the lowest-theta state, with the partial trace.
     """

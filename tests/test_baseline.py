@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from mixamp import baseline, data, denoise, linops
-from mixamp.exceptions import DomainError, SolverError
+from mixamp.exceptions import DegenerateProblemError, DomainError, SolverDivergenceError
 
 CFG_GROUP = dict(lambda1=0.5, lambda2=1.2, block_side=2)
 CFG_TV = dict(lambda1=2.0, lambda2=1.4, block_side=2)
@@ -140,17 +140,20 @@ class TestLipschitz:
         op.forward = op.adjoint = None  # any product would raise
         assert baseline.estimate_lipschitz(op, cfg) == cfg.rho * 2.0 * 1.02
 
-    def test_zero_operator_is_a_solver_error(self):
+    def test_zero_operator_is_rejected_at_the_operator(self, monkeypatch):
         # a non-zero matrix and a non-empty mask can still compose to zero:
-        # A X A^T lives on entry (0, 0), which the mask does not sample
+        # A X A^T lives on entry (0, 0), which the mask does not sample. The
+        # operator rejects it when it is built, so no step is ever estimated
         corner = np.zeros((8, 8))
         corner[0, 0] = 1.0
         a = linops.SensingMatrix(entries=corner)
         mask = linops.SamplingMask(grid=corner == 0.0)
-        cfg = baseline.BaselineConfig(**CFG_GROUP)
-        assert baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask), cfg) == 0.0
-        with pytest.raises(SolverError, match="composed operator is identically zero"):
-            baseline.baseline_solve(a, np.ones((8, 8)), mask, cfg, "group")
+        with pytest.raises(DegenerateProblemError, match="identically zero"):
+            linops.MeasurementOperator(a, mask)
+        monkeypatch.setattr(baseline, "estimate_lipschitz", None)  # a call would raise
+        with pytest.raises(DegenerateProblemError, match="identically zero"):
+            baseline.baseline_solve(a, np.ones((8, 8)), mask,
+                                    baseline.BaselineConfig(**CFG_GROUP), "group")
 
 
 class TestBaselineSolve:
@@ -280,8 +283,13 @@ class TestBaselineSolve:
                                                     replace(cfg, max_iters=len(streak) + 9), variant)
         last = "".join("01"[k] for k in accepted).index(streak) + len(streak)
         assert shrink == 5 or last == len(streak)
-        with pytest.raises(SolverError, match=f"kept increasing after restarts at iteration {last}$"):
+        with pytest.raises(SolverDivergenceError,
+                           match=f"kept increasing after restarts at iteration {last}$") as info:
             baseline.baseline_solve(a, y, mask, cfg, variant)
+        # the trace holds every iteration before the one that gave up
+        assert info.value.iteration == last
+        assert len(info.value.trace) == last - 1
+        assert [rec.t for rec in info.value.trace.records] == list(range(1, last))
 
     @pytest.mark.parametrize("variant", ["group", "tv"])
     def test_record_residual_norm_matches_state(self, variant):

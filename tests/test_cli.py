@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mixamp import checks, cli, data, denoise, linops, solver
+from mixamp import baseline, checks, cli, data, denoise, linops, solver
 
 
 def run_cli(*argv):
@@ -110,8 +110,64 @@ class TestSeparate:
             "--damping", "1.0", "--tau", "1.0", "--out", str(out),
         )
         assert code == 1
-        assert (out / "manifest.json").exists()
         assert (out / "trace.csv").exists()
+        # the manifest records the failed solve: its trace, how far it got, where it gave up
+        record = json.loads((out / "manifest.json").read_text())["outputs"]["mixamp"]
+        assert record["trace"] == "trace.csv" and record["converged"] is False
+        assert record["iters"] == len((out / "trace.csv").read_text().splitlines()) - 1
+        # at floor 1.0 the first blow-up ends the run, with no back-off
+        assert record["diverged_at"] >= 1
+        assert (record["damping_final"], record["backoffs"]) == (1.0, 0)
+        assert "xhat_a" not in record and not (out / "xhat_a.pgm").exists()
+
+    @staticmethod
+    def long_baseline_step(monkeypatch):
+        """Make every baseline step fifty times too long, so the baseline gives up."""
+        estimate = baseline.estimate_lipschitz
+        monkeypatch.setattr(baseline, "estimate_lipschitz",
+                            lambda op, cfg: estimate(op, cfg) / 50)
+
+    def test_baseline_give_up_exit_1_keeps_mixamp_outputs(self, tmp_path, monkeypatch, capsys):
+        self.long_baseline_step(monkeypatch)
+        out = tmp_path / "giveup"
+        assert run_cli("separate", "--side", "16", "--solver", "both", "--no-timing",
+                       "--out", str(out)) == 1
+        assert "baseline diverged at iteration" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "metrics.csv", "trace_baseline.csv", "trace_mixamp.csv",
+            "xhat_a_mixamp.pgm", "xhat_b_mixamp.pgm"]
+        rows = oracles.read_metrics_csv(out / "metrics.csv")
+        assert [r["solver"] for r in rows] == ["mixamp"]
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs["mixamp"]["converged"] is True
+        record = outputs["baseline"]
+        # the 101st rejection in a row gives up, with the 100 iterations before it traced
+        assert record == {"trace": "trace_baseline.csv", "iters": record["diverged_at"] - 1,
+                          "converged": False, "diverged_at": record["diverged_at"]}
+        assert len((out / "trace_baseline.csv").read_text().splitlines()) == record["iters"] + 1
+
+    def test_max_iters_bounds_both_solvers(self, tmp_path):
+        out = tmp_path / "max5"
+        assert run_cli("separate", "--side", "16", "--max-iters", "5", "--solver", "both",
+                       "--no-timing", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"]["max_iters"] == 5
+        # the baseline traces every iteration; mixamp's discarded steps count
+        # toward max_iters but leave no row
+        assert len((out / "trace_baseline.csv").read_text().splitlines()) == 1 + 5
+        assert manifest["outputs"]["baseline"]["iters"] == 5
+        assert manifest["outputs"]["mixamp"]["iters"] <= 5
+        for name in ("mixamp", "baseline"):
+            assert manifest["outputs"][name]["converged"] is False
+
+    def test_unsatisfiable_disjoint_names_both_counts(self, tmp_path, capsys):
+        # the procedural tv scene has no zero pixel, so no impulse may be placed
+        out = tmp_path / "dj"
+        assert run_cli("separate", "--case", "tv", "--side", "16", "--disjoint",
+                       "--out", str(out)) == 2
+        assert ("not enough admissible positions for the requested sparsity: "
+                "0 admissible, 13 impulses requested") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_replay_bit_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -225,6 +281,16 @@ class TestSweep:
         rows = oracles.read_metrics_csv(out / "sweep_metrics.csv")
         assert [(r["m_over_n"], r["seed"]) for r in rows] == [("0.25", "0")]
         assert (out / "s0.25_seed1" / "trace.csv").exists()
+
+    def test_baseline_give_up_keeps_the_mixamp_row(self, tmp_path, monkeypatch):
+        TestSeparate.long_baseline_step(monkeypatch)
+        monkeypatch.setenv("MIXAMP_THREADS", "1")
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--case", "group", "--side", "16", "--sampling", "0.7",
+                       "--seeds", "0", "--solver", "both", "--no-timing", "--out", str(out)) == 1
+        rows = oracles.read_metrics_csv(out / "sweep_metrics.csv")
+        assert [r["solver"] for r in rows] == ["mixamp"]
+        assert (out / "s0.7_seed0" / "trace_baseline.csv").exists()
 
     def test_empty_sampling_list_exit_2(self, tmp_path):
         assert run_cli("sweep", "--sampling", "", "--out", str(tmp_path / "x")) == 2

@@ -33,6 +33,15 @@ def _library(side, m, block=2, y="random", a="gaussian"):
     return linops.SensingMatrix(entries=entries), meas, mask, block
 
 
+def _zero_operator(side=8):
+    """A library case whose matrix and mask are each valid but compose to the
+    zero map: only A[0, 0] is non-zero and (0, 0) is not sampled."""
+    corner = np.zeros((side, side))
+    corner[0, 0] = 1.0
+    return (linops.SensingMatrix(entries=corner), np.ones((side, side)),
+            linops.SamplingMask(grid=corner == 0.0), 2)
+
+
 def _solve(name, problem):
     """Outcome of one group-case solve: FINITE, or (error type, exit code)."""
     a, y, mask, block = problem
@@ -61,6 +70,7 @@ CASES = {
     "side2-m1": (lambda: _library(2, 1, block=1), ((SolverDivergenceError, 1), FINITE)),
     "zero-y": (lambda: _library(8, 40, y="zero"), (FINITE, FINITE)),
     "zero-a": (lambda: _library(8, 40, a="zero"), (DegenerateProblemError, 2)),
+    "zero-operator": (_zero_operator, ((DegenerateProblemError, 2), (DegenerateProblemError, 2))),
     "nonfinite-y": (lambda: _library(8, 40, y="nan"), ((DomainError, 2), (DomainError, 2))),
     "block-not-dividing": (lambda: _library(6, 30, block=4),
                            ((DimensionError, 2), (DimensionError, 2))),
@@ -93,6 +103,17 @@ def test_degenerate_input(case, tmp_path):
         assert (type(err), cli._exit_code(err)) == expected
         return
     assert (_solve("mixamp", problem), _solve("baseline", problem)) == expected
+
+
+@pytest.mark.parametrize("name", ["mixamp", "baseline"])
+def test_zero_operator_runs_no_product(name, monkeypatch):
+    # the operator is rejected when it is built, before either solver applies it
+    def product(*args, **kwargs):
+        raise AssertionError("a product ran on the zero operator")
+
+    for function in ("forward", "adjoint", "dct_fast_forward", "dct_fast_adjoint"):
+        monkeypatch.setattr(linops, function, product)
+    assert _solve(name, _zero_operator()) == (DegenerateProblemError, 2)
 
 
 NAN, INF = float("nan"), float("inf")

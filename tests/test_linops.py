@@ -406,3 +406,45 @@ class TestMeasurementOperator:
         _, _, op = self.operator("dct", 8, 1.0)
         with pytest.raises(DimensionError):
             op.adjoint(np.zeros((4, 4)))
+
+    def test_zero_rows_with_a_sampled_pair_of_non_zero_rows_build(self):
+        # rows 1 and 3 of A are its only non-zero rows: a mask that samples
+        # (1, 3) sees the product, one that samples only (0, 1) sees nothing
+        entries = np.zeros((4, 4))
+        entries[1] = [1.0, -2.0, 0.5, 3.0]
+        entries[3] = [0.0, 1.0, 4.0, -1.0]
+        a = linops.SensingMatrix(entries=entries)
+        grid = np.zeros((4, 4), dtype=bool)
+        grid[1, 3] = True
+        op = linops.MeasurementOperator(a, linops.SamplingMask(grid=grid))
+        y = op.forward(np.ones((4, 4)))
+        assert y[1, 3] == entries[1].sum() * entries[3].sum() and np.count_nonzero(y) == 1
+        grid = np.zeros((4, 4), dtype=bool)
+        grid[0, 1] = True
+        with pytest.raises(DegenerateProblemError, match="identically zero"):
+            linops.MeasurementOperator(a, linops.SamplingMask(grid=grid))
+
+    @pytest.mark.parametrize("k, l", [(0, 0), (2, 1)])
+    def test_identity_with_a_single_sample_builds(self, k, l):
+        grid = np.zeros((4, 4), dtype=bool)
+        grid[k, l] = True
+        op = linops.MeasurementOperator(oracles.identity_sensing(4), linops.SamplingMask(grid=grid))
+        x = np.arange(16.0).reshape(4, 4) + 1.0
+        assert np.array_equal(op.forward(x), np.where(grid, x, 0.0))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rejected_exactly_when_the_kronecker_rows_of_omega_vanish(self, seed):
+        # sparse rows and few samples, so that both outcomes occur across seeds
+        rng = np.random.default_rng(seed)
+        entries = rng.standard_normal((4, 4)) * (rng.random((4, 1)) < 0.4)
+        entries[rng.integers(4), rng.integers(4)] = 1.0
+        a = linops.SensingMatrix(entries=entries)
+        grid = np.zeros(16, dtype=bool)
+        grid[rng.choice(16, size=rng.integers(1, 4), replace=False)] = True
+        mask = linops.SamplingMask(grid=grid.reshape(4, 4))
+        zero_map = not np.kron(entries, entries)[checks.vec_indices(mask)].any()
+        if zero_map:
+            with pytest.raises(DegenerateProblemError):
+                linops.MeasurementOperator(a, mask)
+        else:
+            linops.MeasurementOperator(a, mask)
