@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import baseline, checks, data, denoise, linops, solver
@@ -429,6 +428,8 @@ def cmd_sweep(args):
     workers = _sweep_workers(len(tasks))
     out.mkdir(parents=True, exist_ok=True)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:

@@ -52,8 +52,10 @@ class SolverDivergenceError(MixAmpError, RuntimeError):
     or above the bound on it), and baseline.baseline_solve, when the
     objective kept rising after its momentum restarts.
 
-    Carries the iteration index where the solver gave up and the partial
-    iteration trace of the run.
+    Carries the iteration where the solver gave up, the step that blew
+    up or was rejected once too often, and the partial iteration trace of
+    the run. The trace ends at the iteration before it, so
+    len(trace) == iteration - 1 for both solvers.
     """
 
     def __init__(self, message, iteration, trace):

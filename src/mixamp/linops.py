@@ -9,10 +9,18 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .exceptions import (DegenerateProblemError, DimensionError, DomainError,
                          UnsupportedSizeError, check_count, check_grid, check_real)
+
+
+@lru_cache(maxsize=1)
+def _fft():
+    """scipy.fft, loaded on first use. Only DCT sensing needs it, and loading
+    it takes longer than setting up a whole Gaussian run."""
+    import scipy.fft
+
+    return scipy.fft
 
 
 def _owned(array):
@@ -122,7 +130,7 @@ def dct_sensing(side):
     for the fast form, shares one read-only array.
     """
     check_count("side", side, 2, DimensionError)
-    return SensingMatrix(entries=scipy.fft.dct(np.eye(side), axis=0, norm="ortho"))
+    return SensingMatrix(entries=_fft().dct(np.eye(side), axis=0, norm="ortho"))
 
 
 def gen_mask(side, m, seed):
@@ -203,7 +211,7 @@ def dct_fast_forward(x, mask):
         raise UnsupportedSizeError(f"dct_fast_forward requires a power-of-two side, got {side}")
     if mask.side != side:
         raise DimensionError(f"mask side {mask.side} does not match grid side {side}")
-    return _zero_unsampled(scipy.fft.dctn(x, type=2, norm="ortho"), mask)
+    return _zero_unsampled(_fft().dctn(x, type=2, norm="ortho"), mask)
 
 
 def dct_fast_adjoint(r):
@@ -216,7 +224,7 @@ def dct_fast_adjoint(r):
     side = r.shape[0]
     if not _is_power_of_two(side):
         raise UnsupportedSizeError(f"dct_fast_adjoint requires a power-of-two side, got {side}")
-    return scipy.fft.idctn(r, type=2, norm="ortho")
+    return _fft().idctn(r, type=2, norm="ortho")
 
 
 class MeasurementOperator:
@@ -247,8 +255,11 @@ class MeasurementOperator:
             raise DegenerateProblemError("the measurement map is identically zero")
         self.mask = mask
         self.side = a.side
-        self.fast = (_is_power_of_two(a.side)
-                     and np.array_equal(a.entries, dct_sensing(a.side).entries))
+        # Row 0 of the DCT is constant and positive, and a Gaussian row never
+        # is, so only a likely DCT builds the matrix to compare with.
+        row = a.entries[0]
+        self.fast = bool(_is_power_of_two(a.side) and row[0] > 0 and (row == row[0]).all()
+                         and np.array_equal(a.entries, dct_sensing(a.side).entries))
         self.gain = scale * scale  # c^2
         self._a = a if self.fast or scale == 1.0 else replace(a, entries=scale * a.entries)
 

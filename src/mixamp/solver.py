@@ -269,9 +269,9 @@ def mixamp_run(a, y, mask, cfg):
     zero DegenerateProblemError (from linops.MeasurementOperator). The
     step starts at 1.0 and backs off on each blow-up (see the module
     docstring); discarded steps count toward max_iters, and the trace
-    holds the accepted path only. A
-    blow-up at the damping floor raises SolverDivergenceError naming the
-    iteration after the lowest-theta state, with the partial trace.
+    holds the accepted path only. A blow-up at the damping floor raises
+    SolverDivergenceError naming the step that blew up, one past the last
+    traced iteration, with the partial trace.
     """
     for spec in (cfg.denoiser_a, cfg.denoiser_b):
         if spec.kind == "block_soft":
@@ -290,8 +290,8 @@ def mixamp_run(a, y, mask, cfg):
         if not new_state.theta <= limit:  # a NaN theta fails the test too
             if step_cfg.damping <= cfg.damping:
                 raise SolverDivergenceError(
-                    f"theta blew up at damping {step_cfg.damping:g} after iteration {best.t}",
-                    iteration=best.t + 1, trace=trace,
+                    f"theta blew up at damping {step_cfg.damping:g} after iteration {state.t}",
+                    iteration=state.t + 1, trace=trace,
                 )
             step_cfg = replace(step_cfg, damping=max(BACKOFF * step_cfg.damping, cfg.damping))
             trace.damping_final = step_cfg.damping

@@ -1,7 +1,12 @@
 """CLI contract tests: flags, exit codes, artifacts, manifest replay."""
 
+import concurrent.futures
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,10 +120,21 @@ class TestSeparate:
         record = json.loads((out / "manifest.json").read_text())["outputs"]["mixamp"]
         assert record["trace"] == "trace.csv" and record["converged"] is False
         assert record["iters"] == len((out / "trace.csv").read_text().splitlines()) - 1
-        # at floor 1.0 the first blow-up ends the run, with no back-off
-        assert record["diverged_at"] >= 1
+        # at floor 1.0 the first blow-up ends the run, with no back-off; it
+        # names the step that blew up, one past the last traced iteration
+        assert record["iters"] == record["diverged_at"] - 1
         assert (record["damping_final"], record["backoffs"]) == (1.0, 0)
         assert "xhat_a" not in record and not (out / "xhat_a.pgm").exists()
+
+    def test_give_up_after_back_offs_names_the_step_that_blew_up(self, tmp_path):
+        out = tmp_path / "tiny"
+        assert run_cli("separate", "--side", "2", "--block", "1", "--sampling", "0.25",
+                       "--sparsity", "1.0", "--seed", "1", "--solver", "both",
+                       "--no-timing", "--out", str(out)) == 1
+        record = json.loads((out / "manifest.json").read_text())["outputs"]["mixamp"]
+        # steps 1 and 2 are traced, and step 3 blows up at the floor after four back-offs
+        assert (record["iters"], record["diverged_at"], record["backoffs"]) == (2, 3, 4)
+        assert len((out / "trace_mixamp.csv").read_text().splitlines()) == 1 + 2
 
     @staticmethod
     def long_baseline_step(monkeypatch):
@@ -343,7 +359,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        # cmd_sweep imports the pool class when it needs one, so patch its module
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setenv("MIXAMP_THREADS", "64")
         assert run_cli("sweep", "--case", "group", "--side", "16", "--sampling", "0.6,0.8",
                        "--seeds", "0", "--solver", "mixamp", "--max-iters", "20",
@@ -510,3 +527,51 @@ class TestManifestParamTypes:
         assert run_cli("separate", "--manifest", str(path), "--out", str(out)) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestColdStart:
+    """What a fresh interpreter loads: scipy only for DCT sensing, the process
+    pool only for a pooled sweep."""
+
+    @staticmethod
+    def run_fresh(script):
+        """Run script in a new interpreter that imports this mixamp; returns
+        the JSON object it prints last."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("case", ["group", "tv"])
+    def test_gaussian_separate_loads_no_scipy_and_no_pool(self, case, tmp_path):
+        loaded = self.run_fresh(f"""
+import json, sys
+from mixamp import cli
+code = cli.main(["separate", "--case", {case!r}, "--side", "16", "--solver", "both",
+                 "--no-timing", "--out", {str(tmp_path / case)!r}])
+print(json.dumps([code] + sorted(m for m in sys.modules
+                                 if m.split(".")[0] == "scipy" or m == "concurrent.futures")))
+""")
+        assert loaded == [0]
+
+    def test_dct_run_loads_scipy_fft_and_takes_the_fast_form(self):
+        loaded = self.run_fresh("""
+import json, sys
+import numpy as np
+from mixamp import denoise, linops, solver
+before = "scipy.fft" in sys.modules
+calls = []
+fast_forward = linops.dct_fast_forward
+linops.dct_fast_forward = lambda x, mask: calls.append(1) or fast_forward(x, mask)
+a = linops.dct_sensing(16)
+mask = linops.gen_mask(16, 180, seed=1)
+x = np.zeros((16, 16))
+x[::5, ::3] = 1.0
+cfg = solver.MixAmpConfig(denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
+                          denoiser_b=denoise.DenoiserSpec(kind="soft", tau=1.0), max_iters=3)
+solver.mixamp_run(a, linops.forward(a, x, mask), mask, cfg)
+print(json.dumps([before, "scipy.fft" in sys.modules, len(calls)]))
+""")
+        assert loaded[:2] == [False, True] and loaded[2] >= 1

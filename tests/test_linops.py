@@ -366,6 +366,18 @@ class TestMeasurementOperator:
         assert not fast(-dct)
         assert not self.operator("dct", 12, 1.0)[2].fast
         assert not self.operator("gaussian", 16, 1.0)[2].fast
+        # near misses: one entry of row 0 (whose constant positive value is
+        # tested first) or of a later row changed, and a matrix that shares
+        # the DCT's row 0 but not its other rows
+        for row in (0, 5):
+            changed = dct.copy()
+            changed[row, 3] = np.nextafter(changed[row, 3], 1.0)
+            assert not fast(changed)
+        assert not fast(np.vstack([dct[:1], np.eye(16)[1:]]))
+        # the DCT's row 0 is constant and positive at every power-of-two side
+        for side in (2 ** k for k in range(1, 11)):
+            full = linops.SamplingMask(grid=np.ones((side, side), dtype=bool))
+            assert linops.MeasurementOperator(linops.dct_sensing(side), full).fast, side
 
     @pytest.mark.parametrize("matrix", ["dct", "gaussian"])
     @pytest.mark.parametrize("scale", [1.0, SCALE])

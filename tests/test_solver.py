@@ -140,8 +140,8 @@ class TestStep:
         with pytest.raises(SolverDivergenceError) as info:
             solver.mixamp_run(a, y, mask, cfg)
         # at the floor 1.0 the first blow-up ends the run, long before an overflow
-        assert 1 <= info.value.iteration <= len(steps) <= 20
-        assert info.value.trace is not None
+        # and names the step that blew up, one past the last traced iteration
+        assert info.value.iteration == len(steps) == len(info.value.trace) + 1 <= 20
 
 
 def _operator_problem(sensing, seed):
