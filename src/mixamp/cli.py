@@ -317,7 +317,7 @@ def run_separation(p, out_dir):
             record.update(damping_final=trace.damping_final, backoffs=trace.backoffs)
         if failure is not None:
             record["diverged_at"] = failure.iteration
-            code = 1
+            code = _exit_code(failure)
             continue
         record.update(xhat_a=f"xhat_a{suffix(name)}.pgm", xhat_b=f"xhat_b{suffix(name)}.pgm")
         data.save_image_pgm(xa_hat, out / f"xhat_a{suffix(name)}.pgm")

@@ -257,7 +257,7 @@ class TestTvKernelMatchesReference:
     @pytest.mark.parametrize("side", [2, 3, 5, 8, 17, 64])
     def test_estimate_and_flag_identical(self, side):
         for name, x in _tv_kernel_inputs(side).items():
-            for iters in (1, 2, 20):
+            for iters in (1, 2, denoise._TV_INNER_ITERS, 20):
                 u, converged, _ = denoise._tv_bregman_estimate(x, 1.3, iters)
                 u_ref, converged_ref = oracles.tv_bregman_reference(x, 1.3, iters)
                 case = (name, iters)
@@ -265,12 +265,11 @@ class TestTvKernelMatchesReference:
                 assert converged == converged_ref, case
 
     @pytest.mark.parametrize("side", [2, 3, 8, 17])
-    def test_constant_input_exits_early(self, side):
+    def test_constant_input_is_flagged_converged(self, side):
         x = _tv_kernel_inputs(side)["constant"]
-        u_one, flag_one, _ = denoise._tv_bregman_estimate(x, 1.3, 1)
-        u_long, flag_long, _ = denoise._tv_bregman_estimate(x, 1.3, 20)
+        _, flag_one, _ = denoise._tv_bregman_estimate(x, 1.3, 1)
+        _, flag_long, _ = denoise._tv_bregman_estimate(x, 1.3, 20)
         assert flag_one and flag_long
-        assert np.array_equal(u_one, u_long)
 
     def test_divergence_matches_reference_probe(self):
         iters = denoise._TV_INNER_ITERS
@@ -363,6 +362,28 @@ class TestTvWarmStart:
         u_ref, _ = oracles.tv_bregman_reference(self.X, 1.3, denoise._TV_INNER_ITERS)
         assert np.array_equal(out.estimate, u_ref)
         assert out.tv_state.mu == 2.0 * 1.3
+
+    def test_estimate_shares_no_memory_with_its_state(self):
+        # mixamp_step blends into an estimate in place, so an estimate that
+        # viewed its state's iterate would move the next warm start
+        def kernel(state):
+            u, _, end = denoise._tv_bregman_estimate(self.X, 1.3, denoise._TV_INNER_ITERS, state)
+            return u, end
+
+        def denoiser(state):
+            out = denoise.tv_denoise_bregman(self.X, 1.3, state)
+            return out.estimate, out.tv_state
+
+        _, _, warm = denoise._tv_bregman_estimate(self.X, 1.0, 5)
+        for solve in (kernel, denoiser):
+            for start in (None, warm):
+                estimate, state = solve(start)
+                assert not np.shares_memory(estimate, state.p)
+                u_next, end_next = solve(state)
+                estimate[...] = np.nan
+                u_again, end_again = solve(state)
+                assert np.array_equal(u_next, u_again)
+                assert all(np.array_equal(a, b) for a, b in zip(_arrays(end_next), _arrays(end_again)))
 
 
 class TestMcDivergence:
