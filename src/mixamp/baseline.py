@@ -96,14 +96,12 @@ def estimate_lipschitz(op, cfg):
         return cfg.rho * 2.0 * op.gain * op.gain * 1.02
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal((op.side, op.side))
-    va = v / np.linalg.norm(v)
-    vb = va.copy()
+    v = v / np.linalg.norm(v)  # the iterate (v, v): the map reads only Xa + Xb, so both stay equal
     lam_max = 0.0
     for _ in range(_POWER_ITERS):
-        w = op.adjoint(op.forward(va + vb))
+        w = op.adjoint(op.forward(v + v))
         lam_max = float(np.sqrt(2.0 * (w ** 2).sum()))
-        va = w / lam_max
-        vb = va
+        v = w / lam_max
     return cfg.rho * lam_max * 1.02
 
 

@@ -75,7 +75,7 @@ def _add_run_arguments(parser, case, sparsity):
     parser.add_argument("--lambda1", type=float, default=None)
     parser.add_argument("--lambda2", type=float, default=None)
     parser.add_argument("--rho", type=float, default=1e4)
-    parser.add_argument("--no-timing", action="store_true",
+    parser.add_argument("--no-timing", dest="record_timing", action="store_false",
                         help="write wall_ms columns as 0 for bit-reproducible outputs")
 
 
@@ -100,41 +100,11 @@ def build_parser():
     swp.add_argument("--seeds", type=_list_of(int, "seed"), default=[0, 1, 2],
                      help="comma-separated seeds")
     swp.add_argument("--out", type=str, default="mixamp_sweep")
+    swp.set_defaults(seed=0, disjoint=False)  # no --disjoint here; each point sets its seed
 
     chk = sub.add_parser("selfcheck", help="run the micro-scale oracle suite")
     chk.add_argument("--list", action="store_true", help="print check names without running")
     return parser
-
-
-def _resolve_params(args):
-    """Normalize separate/sweep args into one plain parameter dict."""
-    case = args.case
-    defaults = CASE_DEFAULTS[case]
-    tau_a = args.tau_a if args.tau_a is not None else (args.tau if args.tau is not None else defaults["tau_a"])
-    tau_b = args.tau_b if args.tau_b is not None else (args.tau if args.tau is not None else defaults["tau_b"])
-    lambda1 = args.lambda1 if args.lambda1 is not None else defaults["lambda1"]
-    lambda2 = args.lambda2 if args.lambda2 is not None else defaults["lambda2"]
-    return {
-        "case": case,
-        "side": args.side,
-        "sampling": getattr(args, "sampling", 0.7),
-        "sparsity": args.sparsity,
-        "block": args.block,
-        "active_fraction": args.active_fraction,
-        "image": args.image,
-        "seed": getattr(args, "seed", 0),
-        "solver": args.solver,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "tau_a": tau_a,
-        "tau_b": tau_b,
-        "damping": args.damping,
-        "lambda1": lambda1,
-        "lambda2": lambda2,
-        "rho": args.rho,
-        "disjoint": bool(getattr(args, "disjoint", False)),
-        "record_timing": not args.no_timing,
-    }
 
 
 # integer param -> its minimum; the derived seeds seed * 101 + k must be
@@ -146,6 +116,18 @@ _REAL_PARAMS = {"sampling": True, "sparsity": True, "active_fraction": False, "t
                 "lambda2": True, "rho": True}
 _BOOL_PARAMS = ("disjoint", "record_timing")
 _CHOICE_PARAMS = {"case": CASES, "solver": SOLVERS}
+# every run param, each the dest of its option: the keys of a resolved dict and a manifest
+PARAMS = (*_INT_PARAMS, *_REAL_PARAMS, *_BOOL_PARAMS, *_CHOICE_PARAMS, "image")
+
+
+def _resolve_params(args):
+    """Normalize separate/sweep args into one plain parameter dict; an unset
+    tau_a or tau_b takes --tau if given, and every value still unset its case default."""
+    p = {key: getattr(args, key) for key in PARAMS}
+    for key, default in CASE_DEFAULTS[p["case"]].items():
+        if p[key] is None:
+            p[key] = args.tau if key.startswith("tau_") and args.tau is not None else default
+    return p
 
 
 def _available_memory():
@@ -285,7 +267,6 @@ def run_separation(p, out_dir):
     a, mask, xa_true, xb_true, y = build_problem(p)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = (lambda name: f"_{name}") if len(configs) > 1 else (lambda name: "")
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -296,6 +277,7 @@ def run_separation(p, out_dir):
     rows = []
     code = 0
     for name, cfg in configs.items():
+        tag = f"_{name}" if len(configs) > 1 else ""
         tic = time.perf_counter()
         failure = None
         try:
@@ -307,21 +289,21 @@ def run_separation(p, out_dir):
             print(f"mixamp: {name} diverged at iteration {err.iteration}", file=sys.stderr)
             failure, trace = err, err.trace
         wall_ms = (time.perf_counter() - tic) * 1e3
-        trace.to_csv(out / f"trace{suffix(name)}.csv", p["record_timing"])
         record = manifest["outputs"][name] = {
-            "trace": f"trace{suffix(name)}.csv",
+            "trace": f"trace{tag}.csv",
             "iters": len(trace),
             "converged": trace.converged,
         }
+        trace.to_csv(out / record["trace"], p["record_timing"])
         if name == "mixamp":
             record.update(damping_final=trace.damping_final, backoffs=trace.backoffs)
         if failure is not None:
             record["diverged_at"] = failure.iteration
             code = _exit_code(failure)
             continue
-        record.update(xhat_a=f"xhat_a{suffix(name)}.pgm", xhat_b=f"xhat_b{suffix(name)}.pgm")
-        data.save_image_pgm(xa_hat, out / f"xhat_a{suffix(name)}.pgm")
-        data.save_image_pgm(xb_hat, out / f"xhat_b{suffix(name)}.pgm")
+        record.update(xhat_a=f"xhat_a{tag}.pgm", xhat_b=f"xhat_b{tag}.pgm")
+        data.save_image_pgm(xa_hat, out / record["xhat_a"])
+        data.save_image_pgm(xb_hat, out / record["xhat_b"])
         rows.append({
             "experiment": p["case"],
             "side": p["side"],
@@ -352,11 +334,10 @@ def _manifest_params(path):
     params = manifest.get("params")
     if not isinstance(params, dict):
         raise MixAmpError(f"manifest {path} holds no params object")
-    required = _resolve_params(build_parser().parse_args(["separate"]))  # every run param
-    missing = sorted(required.keys() - params.keys())
+    missing = sorted(set(PARAMS) - params.keys())
     if missing:
         raise MixAmpError(f"manifest {path} lacks params: {', '.join(missing)}")
-    unknown = sorted(params.keys() - required.keys())
+    unknown = sorted(params.keys() - set(PARAMS))
     if unknown:
         raise MixAmpError(f"manifest {path} has unknown params: {', '.join(unknown)}")
     return params

@@ -308,7 +308,7 @@ def mixamp_run(a, y, mask, cfg):
                 t=state.t,
                 theta=state.theta,
                 tol_value=tol_value,
-                residual_norm=float(np.linalg.norm(state.r)),
+                residual_norm=float(np.sqrt(mask.m * state.theta)),  # theta = ||r||^2 / m
                 wall_ms=wall_ms,
             )
         )

@@ -383,7 +383,7 @@ class TestParsedDefaults:
         "side": 64, "block": 4, "active_fraction": 0.25, "image": None,
         "solver": "mixamp", "max_iters": 500, "tol": 5e-4, "tau": None, "tau_a": None,
         "tau_b": None, "damping": 0.3, "lambda1": None, "lambda2": None, "rho": 1e4,
-        "no_timing": False,
+        "record_timing": True,
     }
 
     def test_separate(self):
@@ -397,7 +397,36 @@ class TestParsedDefaults:
         assert vars(cli.build_parser().parse_args(["sweep"])) == {
             **self.SHARED, "command": "sweep", "case": "tv", "sparsity": 0.10,
             "sampling": [0.3, 0.5, 0.7], "seeds": [0, 1, 2], "out": "mixamp_sweep",
+            "seed": 0, "disjoint": False,
         }
+
+
+class TestResolveParams:
+    """How flags, --tau and the case defaults make one param dict."""
+
+    @staticmethod
+    def resolve(*argv):
+        return cli._resolve_params(cli.build_parser().parse_args(list(argv)))
+
+    def test_tau_b_flag_beats_tau(self):
+        params = self.resolve("separate", "--tau", "0.9", "--tau-b", "1.3")
+        assert (params["tau_a"], params["tau_b"]) == (0.9, 1.3)
+
+    def test_tv_case_defaults_without_tau_flags(self):
+        params = self.resolve("separate", "--case", "tv")
+        assert {key: params[key] for key in cli.CASE_DEFAULTS["tv"]} == cli.CASE_DEFAULTS["tv"]
+
+    def test_lambda_flag_beats_case_default(self):
+        params = self.resolve("separate", "--lambda1", "0.25")
+        assert params["lambda1"] == 0.25
+        assert params["lambda2"] == cli.CASE_DEFAULTS["group"]["lambda2"]
+
+    def test_key_set_matches_written_manifest(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("separate", "--side", "16", "--no-timing", "--out", str(out)) == 0
+        written = json.loads((out / "manifest.json").read_text())["params"].keys()
+        assert self.resolve("separate").keys() == written
+        assert self.resolve("sweep").keys() == written
 
 
 def _off_by(value, delta):

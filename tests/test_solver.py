@@ -1,5 +1,7 @@
 """Solver tests: initialization, step algebra, stopping rule, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,16 @@ class TestRun:
         for r1, r2 in zip(t1.records, t2.records):
             assert (r1.t, r1.theta, r1.tol_value, r1.residual_norm) == \
                    (r2.t, r2.theta, r2.tol_value, r2.residual_norm)
+
+    @pytest.mark.parametrize("denoiser_b", [BLOCK4, denoise.DenoiserSpec(kind="tv_bregman")])
+    def test_record_residual_norm_derived_from_theta(self, denoiser_b):
+        # theta = ||r||^2 / m, so each record's residual_norm is sqrt(m * theta)
+        a, mask, _, _, y = small_problem(seed=7)
+        cfg = solver.MixAmpConfig(max_iters=30, tol=1e-12, **dict(self.CFG, denoiser_b=denoiser_b))
+        _, _, trace = solver.mixamp_run(a, y, mask, cfg)
+        assert len(trace) >= 2
+        for rec in trace.records:
+            assert rec.residual_norm == math.sqrt(mask.m * rec.theta)
 
     def test_trace_csv_roundtrip(self, tmp_path):
         a, mask, _, _, y = small_problem(seed=5)
