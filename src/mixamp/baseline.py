@@ -41,7 +41,8 @@ from .exceptions import SolverDivergenceError, check_block_side, check_choice, c
 BASELINE_VARIANTS = ("group", "tv")
 
 _ACCEPT_SLACK = 1e-10
-_POWER_ITERS = 100
+_LANCZOS_MAX_STEPS = 100
+_LANCZOS_RTOL = 1e-9
 _POWER_SEED = 0
 _RESTART_PATIENCE = 10
 
@@ -83,26 +84,43 @@ def objective_eval(xa, xb, op, y, cfg, variant):
 
 
 def estimate_lipschitz(op, cfg):
-    """rho times the dominant eigenvalue of (Xa, Xb) -> M*M(Xa + Xb).
+    """rho times the dominant eigenvalue of M*M, M: (Xa, Xb) -> P_Omega{(cA)(Xa + Xb)(cA)^T}.
 
     ``op`` is a linops.MeasurementOperator. The value is padded by 2% so the
     1/L step never overshoots. An operator in the fast DCT form has an
     orthonormal matrix, so M*M = c^4 A^T P_Omega A is c^4 times an
     orthogonal projection (a mask is never empty) and the eigenvalue is
-    2 c^4 in closed form. Every dense matrix is estimated by power iteration;
-    the operator is never the zero map, which MeasurementOperator rejects.
+    2 c^4 in closed form. For a dense matrix, M M* = 2 P_Omega{G . G} with
+    G = (cA)(cA)^T has the same dominant eigenvalue, and a Lanczos
+    recurrence on op.gram_map() finds it at one dense product per step.
+    The recurrence runs at most _LANCZOS_MAX_STEPS steps, without
+    reorthogonalisation, and stops when the top Ritz value moves by at most
+    _LANCZOS_RTOL relative or when beta vanishes next to it (an invariant
+    subspace: an orthonormal matrix stops after one step). The operator is
+    never the zero map, which MeasurementOperator rejects.
     """
     if op.fast:
         return cfg.rho * 2.0 * op.gain * op.gain * 1.02
+    gram = op.gram_map()
     rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal((op.side, op.side))
-    v = v / np.linalg.norm(v)  # the iterate (v, v): the map reads only Xa + Xb, so both stay equal
-    lam_max = 0.0
-    for _ in range(_POWER_ITERS):
-        w = op.adjoint(op.forward(v + v))
-        lam_max = float(np.sqrt(2.0 * (w ** 2).sum()))
-        v = w / lam_max
-    return cfg.rho * lam_max * 1.02
+    v = linops.mask_apply(op.mask, rng.standard_normal((op.side, op.side)))
+    v /= np.linalg.norm(v)
+    v_prev, beta, alphas, betas, top = 0.0, 0.0, [], [], 0.0
+    for _ in range(_LANCZOS_MAX_STEPS):
+        w = gram(v)
+        alphas.append(float((w * v).sum()))
+        w -= alphas[-1] * v
+        w -= beta * v_prev
+        beta = float(np.linalg.norm(w))
+        if not np.isfinite(beta):  # a product overflowed or met a NaN; eigvalsh takes neither
+            return float("nan")
+        tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        last, top = top, float(np.linalg.eigvalsh(tridiagonal)[-1])
+        if abs(top - last) <= _LANCZOS_RTOL * top or beta <= 1e-12 * top:
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return cfg.rho * 2.0 * top * 1.02
 
 
 def _prox_b(v, step_weight, cfg, variant, tv_state=None):
@@ -163,7 +181,7 @@ def baseline_solve(a, y, mask, cfg, variant):
     fx, rx = objective_eval(xa, xb, op, y, cfg, variant)
     r_prev = rz = rx
     resid_norm = float(np.linalg.norm(rx))
-    trace = solver.IterationTrace()
+    trace = solver.IterationTrace(lipschitz=lip)
     rejections = 0  # candidates rejected in a row
 
     for it in range(1, cfg.max_iters + 1):

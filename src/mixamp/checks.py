@@ -8,15 +8,15 @@ Checks reach the library through its module attributes, so a test can
 patch a library function and see its check fail. The worst violation is
 taken with np.maximum, which keeps a NaN, so a check that measured NaN
 fails its bound. The brute-force references (grid_prox_abs,
-fd_divergence, kron_forward_oracle) share no code path with the functions
-they check.
+fd_divergence, kron_forward_oracle, the SVD of lipschitz_kron) share no
+code path with the functions they check.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from . import denoise, linops, solver
+from . import baseline, denoise, linops, solver
 from .exceptions import DimensionError, DomainError, UnsupportedSizeError
 
 KRON_ORACLE_MAX_SIDE = 16
@@ -70,6 +70,11 @@ def vec_indices(mask):
     return np.flatnonzero(mask.grid.T)
 
 
+def _check_oracle_side(side):
+    if side > KRON_ORACLE_MAX_SIDE:
+        raise UnsupportedSizeError(f"kron oracle limited to side <= {KRON_ORACLE_MAX_SIDE}, got {side}")
+
+
 def kron_forward_oracle(a, xvec, maskvec):
     """Dense 1D reference model: P_Omega'{(A kron A) vec(X)}.
 
@@ -78,10 +83,7 @@ def kron_forward_oracle(a, xvec, maskvec):
     column-major vectorization of X and ``maskvec`` holds the 0-based
     column-major indices of Omega.
     """
-    if a.side > KRON_ORACLE_MAX_SIDE:
-        raise UnsupportedSizeError(
-            f"kron oracle limited to side <= {KRON_ORACLE_MAX_SIDE}, got {a.side}"
-        )
+    _check_oracle_side(a.side)
     xvec = np.asarray(xvec, dtype=float).ravel()
     n = a.side * a.side
     if xvec.size != n:
@@ -103,6 +105,21 @@ def kron_equivalence(instances):
         y2d = linops.forward(a, x, mask).flatten(order="F")
         yvec = kron_forward_oracle(a, x.flatten(order="F"), vec_indices(mask))
         worst = np.maximum(worst, np.abs(y2d - yvec).max() / max(np.abs(yvec).max(), 1e-30))
+    return float(worst)
+
+
+def lipschitz_kron(instances):
+    """Worst relative gap of estimate_lipschitz, its rho and 2% pad divided out, to
+    2 sigma_max^2 of kron(cA, cA) on the rows of Omega; yields (a, mask, scale, cfg)."""
+    worst = 0.0
+    for a, mask, scale, cfg in instances:
+        _check_oracle_side(a.side)
+        estimate = baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask, scale), cfg)
+        estimate /= 1.02 * cfg.rho
+        ca = scale * a.entries
+        sigma = np.linalg.svd(np.kron(ca, ca)[vec_indices(mask)], compute_uv=False)[0]
+        reference = 2.0 * sigma * sigma
+        worst = np.maximum(worst, abs(estimate - reference) / reference)
     return float(worst)
 
 
@@ -251,6 +268,9 @@ _SPECS = (denoise.DenoiserSpec(kind="soft", tau=1.5),
 # (name, few-instance call, bound on the worst violation it returns)
 SELFCHECKS = (
     ("kron_equivalence", lambda: kron_equivalence([(*_gaussian(8, 44, 1), _normal(0, 8))]), 1e-12),
+    ("lipschitz_kron",
+     lambda: lipschitz_kron([(*_gaussian(16, 128, 4), 1.3, baseline.BaselineConfig(0.5, 1.2))]),
+     1e-8),
     ("adjoint_identity",
      lambda: adjoint_identity([(linops.MeasurementOperator(*_gaussian(16, 128, 4)),
                                 _normal(3, 16), _normal(5, 16))]), 1e-10),

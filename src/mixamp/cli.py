@@ -297,6 +297,8 @@ def run_separation(p, out_dir):
         trace.to_csv(out / record["trace"], p["record_timing"])
         if name == "mixamp":
             record.update(damping_final=trace.damping_final, backoffs=trace.backoffs)
+        else:
+            record["lipschitz"] = trace.lipschitz
         if failure is not None:
             record["diverged_at"] = failure.iteration
             code = _exit_code(failure)

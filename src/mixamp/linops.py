@@ -275,6 +275,14 @@ class MeasurementOperator:
             return adjoint(self._a, r)
         return self._scaled(dct_fast_adjoint(check_grid(r, side=self.side, name="r")))
 
+    def gram_map(self):
+        """R -> P_Omega{G R G}, G = (cA)(cA)^T: forward(adjoint(R)) of a masked R at one
+        dense product, not two. G is built on each call and lives as long as the returned
+        function, whose products go through forward()."""
+        ca = self._a.entries * (np.sqrt(self.gain) if self.fast else 1.0)
+        g = SensingMatrix(entries=ca @ ca.T)
+        return lambda r: forward(g, r, self.mask)
+
     def _scaled(self, product):
         if self.gain != 1.0:
             product *= self.gain

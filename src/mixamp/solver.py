@@ -105,13 +105,15 @@ class IterationTrace:
     converged is set when the solver's stopping rule ended the run, and
     stays False for a run that reached max_iters. A mixamp run also records
     the step it ended with (damping_final) and how many times it backed
-    off. None of the three is part of the CSV schema.
+    off; a baseline run records the padded step constant L it used
+    (lipschitz). None of them is part of the CSV schema.
     """
 
     records: list = field(default_factory=list)
     converged: bool = False
     damping_final: float | None = None
     backoffs: int = 0
+    lipschitz: float | None = None
 
     def append(self, record):
         self.records.append(record)

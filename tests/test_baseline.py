@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mixamp import baseline, data, denoise, linops
+from mixamp import baseline, checks, cli, data, denoise, linops
 from mixamp.exceptions import DegenerateProblemError, DomainError, SolverDivergenceError
 
 CFG_GROUP = dict(lambda1=0.5, lambda2=1.2, block_side=2)
@@ -73,6 +73,14 @@ class TestObjectiveEval:
                                     linops.MeasurementOperator(a, mask), y, cfg, "wavelet")
 
 
+def counting(calls, name, product):
+    """product with each call counted in calls[name]."""
+    def counted(*args):
+        calls[name] += 1
+        return product(*args)
+    return counted
+
+
 def assert_descent_lemma(a, mask, y, cfg):
     # descent lemma with the estimated step on 100 random pairs
     lip = baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask), cfg)
@@ -105,15 +113,20 @@ class TestLipschitz:
 
     @staticmethod
     def counted(op):
-        """op with its forward products counted in the returned list."""
-        calls, forward = [], op.forward
-        op.forward = lambda x: calls.append(1) or forward(x)
+        """op with its forward, adjoint and Gram products counted in the returned dict."""
+        calls = {"forward": 0, "adjoint": 0, "gram": 0}
+        op.forward = counting(calls, "forward", op.forward)
+        op.adjoint = counting(calls, "adjoint", op.adjoint)
+        gram_map = op.gram_map
+        op.gram_map = lambda: counting(calls, "gram", gram_map())
         return op, calls
 
     @pytest.mark.parametrize("side", [8, 32, 256])
     def test_closed_form_matches_power_iteration(self, side):
         # the negated DCT and the identity have the same M*M as the DCT but
-        # take the dense form, so their step comes from a power iteration
+        # take the dense form. Their Gram matrix (cA)(cA)^T is c^2 I, so the
+        # first Lanczos step finds an invariant subspace: one Gram product,
+        # no forward or adjoint
         cfg = baseline.BaselineConfig(**CFG_GROUP)
         mask = linops.gen_mask(side, int(0.7 * side * side), seed=side)
         dct = linops.dct_sensing(side)
@@ -123,16 +136,56 @@ class TestLipschitz:
             closed = baseline.estimate_lipschitz(linops.MeasurementOperator(dct, mask, scale), cfg)
             for a in dense:
                 op, calls = self.counted(linops.MeasurementOperator(a, mask, scale))
-                power = baseline.estimate_lipschitz(op, cfg)
-                assert len(calls) == baseline._POWER_ITERS
-                assert abs(closed - power) <= 1e-9 * power, scale
+                lanczos = baseline.estimate_lipschitz(op, cfg)
+                assert calls == {"forward": 0, "adjoint": 0, "gram": 1}
+                assert abs(closed - lanczos) <= 1e-12 * lanczos, scale
 
     def test_dense_matrix_runs_the_power_iteration(self):
-        # a Gaussian matrix at a power-of-two side is not the DCT
+        # a Gaussian matrix at a power-of-two side is not the DCT: its
+        # Lanczos recurrence runs 19 steps, more than one and fewer than
+        # _LANCZOS_MAX_STEPS. Capped at 18 and 17 steps it returns the top
+        # Ritz values of those steps, so the 19th moved by at most
+        # _LANCZOS_RTOL and the 18th by more: the 1e-9 rule ended the run
         a, mask, _, _, _ = group_problem(side=16, seed=3)
+        cfg = baseline.BaselineConfig(**CFG_GROUP)
         op, calls = self.counted(linops.MeasurementOperator(a, mask))
-        baseline.estimate_lipschitz(op, baseline.BaselineConfig(**CFG_GROUP))
-        assert len(calls) == baseline._POWER_ITERS
+        full = baseline.estimate_lipschitz(op, cfg)
+        assert calls == {"forward": 0, "adjoint": 0, "gram": 19}
+        capped = []
+        for steps in (18, 17):
+            op, calls = self.counted(linops.MeasurementOperator(a, mask))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(baseline, "_LANCZOS_MAX_STEPS", steps)
+                capped.append(baseline.estimate_lipschitz(op, cfg))
+            assert calls["gram"] == steps
+        assert abs(full - capped[0]) <= baseline._LANCZOS_RTOL * full
+        assert abs(capped[0] - capped[1]) > baseline._LANCZOS_RTOL * capped[0]
+
+    def test_rank_one_operator_stops_after_one_step(self):
+        # one sample at side 2 makes the map rank one: the first Lanczos step
+        # leaves beta exactly 0, and the value is rho * 2 * G[0, 0] * G[1, 1] * 1.02
+        # with G = A A^T = [[5, 4], [4, 5]]
+        cfg = baseline.BaselineConfig(**CFG_GROUP)
+        a = linops.SensingMatrix(entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        mask = linops.SamplingMask(grid=np.array([[False, True], [False, False]]))
+        op, calls = self.counted(linops.MeasurementOperator(a, mask))
+        assert baseline.estimate_lipschitz(op, cfg) == cfg.rho * 2.0 * 25.0 * 1.02 == 510000.0
+        assert calls == {"forward": 0, "adjoint": 0, "gram": 1}
+
+    @pytest.mark.parametrize("side", [4, 8, 16])
+    def test_matches_the_kronecker_oracle(self, side):
+        # the CLI's group problems, unscaled and scaled: the estimate is the
+        # top eigenvalue of the masked Kronecker model to 1e-8 relative
+        instances = []
+        for mn in (0.3, 0.9):
+            for seed in range(4):
+                params = cli._resolve_params(cli.build_parser().parse_args(
+                    ["separate", "--side", str(side), "--block", "2", "--sampling", str(mn),
+                     "--seed", str(seed)]))
+                a, mask = cli.build_problem(params)[:2]
+                cfg = cli._baseline_config(params)
+                instances += [(a, mask, scale, cfg) for scale in (1.0, 1.3)]
+        assert checks.lipschitz_kron(instances) <= 1e-8
 
     def test_closed_form_runs_no_products(self):
         cfg = baseline.BaselineConfig(**CFG_GROUP)
@@ -222,25 +275,23 @@ class TestBaselineSolve:
 
     @pytest.mark.parametrize("variant", ["group", "tv"])
     def test_one_forward_and_one_adjoint_per_iteration(self, variant, monkeypatch):
-        # the power iteration's products, one objective at the zero state,
-        # then per iteration the gradient's adjoint and the candidate's
-        # objective; the extrapolated point's residual costs no product
-        calls = {"forward": 0, "adjoint": 0}
-        for name in calls:
-            product = getattr(linops.MeasurementOperator, name)
-
-            def counted(op, x, name=name, product=product):
-                calls[name] += 1
-                return product(op, x)
-
-            monkeypatch.setattr(linops.MeasurementOperator, name, counted)
+        # one objective at the zero state, then per iteration the gradient's
+        # adjoint and the candidate's objective; the extrapolated point's
+        # residual costs no product. The step estimate runs Gram products
+        # only, 10 of them on this problem, counted apart
+        calls = {"forward": 0, "adjoint": 0, "gram": 0}
+        for name in ("forward", "adjoint"):
+            monkeypatch.setattr(linops.MeasurementOperator, name,
+                                counting(calls, name, getattr(linops.MeasurementOperator, name)))
+        gram_map = linops.MeasurementOperator.gram_map
+        monkeypatch.setattr(linops.MeasurementOperator, "gram_map",
+                            lambda op: counting(calls, "gram", gram_map(op)))
         a, mask, _, _, y = group_problem(seed=7)
         lambdas = CFG_GROUP if variant == "group" else CFG_TV
         cfg = baseline.BaselineConfig(max_iters=40, **lambdas)
         _, _, trace = baseline.baseline_solve(a, y, mask, cfg, variant)
         iters = len(trace)
-        assert calls == {"forward": baseline._POWER_ITERS + 1 + iters,
-                         "adjoint": baseline._POWER_ITERS + iters}
+        assert calls == {"forward": 1 + iters, "adjoint": iters, "gram": 10}
 
     @pytest.mark.parametrize("variant,seed,max_iters", [("group", 1, 300), ("group", 3, 300),
                                                         ("tv", 8, 100), ("tv", 13, 100)])

@@ -157,9 +157,15 @@ class TestSeparate:
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert outputs["mixamp"]["converged"] is True
         record = outputs["baseline"]
-        # the 101st rejection in a row gives up, with the 100 iterations before it traced
+        # the 101st rejection in a row gives up, with the 100 iterations before it
+        # traced; the record keeps the step constant the run used, here L / 50
+        params = cli._resolve_params(cli.build_parser().parse_args(["separate", "--side", "16"]))
+        a, mask = cli.build_problem(params)[:2]
+        lipschitz = baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask),
+                                                cli._baseline_config(params))
         assert record == {"trace": "trace_baseline.csv", "iters": record["diverged_at"] - 1,
-                          "converged": False, "diverged_at": record["diverged_at"]}
+                          "converged": False, "diverged_at": record["diverged_at"],
+                          "lipschitz": lipschitz}
         assert len((out / "trace_baseline.csv").read_text().splitlines()) == record["iters"] + 1
 
     def test_max_iters_bounds_both_solvers(self, tmp_path):
@@ -453,6 +459,7 @@ class TestSelfcheck:
     @pytest.mark.parametrize("module, function, check", [
         (linops, "forward", "kron_equivalence"),
         (linops, "adjoint", "adjoint_identity"),
+        (baseline, "estimate_lipschitz", "lipschitz_kron"),
         (denoise, "soft_threshold", "soft_prox_grid"),
         (denoise, "soft_threshold_div", "soft_divergence_fd"),
         (denoise, "block_soft_threshold", "block_divergence_fd"),
