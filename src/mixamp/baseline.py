@@ -193,6 +193,7 @@ def baseline_solve(a, y, mask, cfg, variant):
         cand_b, tv_state = _prox_b(np.subtract(zb, step, out=step), cfg.lambda2 / lip, cfg,
                                    variant, tv_state)
         f_cand, r_cand = objective_eval(cand_a, cand_b, op, y, cfg, variant)
+        trace.steps += 1
 
         accepted = f_cand <= fx + _ACCEPT_SLACK
         if accepted:

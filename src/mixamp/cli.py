@@ -292,6 +292,7 @@ def run_separation(p, out_dir):
         record = manifest["outputs"][name] = {
             "trace": f"trace{tag}.csv",
             "iters": len(trace),
+            "steps": trace.steps,
             "converged": trace.converged,
         }
         trace.to_csv(out / record["trace"], p["record_timing"])

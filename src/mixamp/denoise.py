@@ -9,7 +9,7 @@ correction term of the message-passing solver.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,13 +57,17 @@ class TvState:
 
     p is the flat zero-padded iterate buffer of _tv_layout, d and b the
     stacked split and Bregman variables, and mu the penalty they were formed
-    with. No solve writes into the arrays of a state.
+    with. No solve writes into the arrays of a state. divergence is the
+    probe value of the tv_denoise_bregman call that made the state, which
+    the next call reuses; None when that call reused one itself, and in
+    every state _tv_bregman_estimate makes.
     """
 
     p: np.ndarray
     d: np.ndarray
     b: np.ndarray
     mu: float
+    divergence: float | None = None
 
 
 @dataclass(frozen=True)
@@ -319,16 +323,24 @@ def tv_denoise_bregman(x, lam, state=None, probe_seed=0):
     divergence is estimated by one Rademacher probe (mc_divergence) of
     step 1e-3 drawn from ``probe_seed``; the probe solve starts from the
     same state as the estimate, so the probe is a finite difference of one
-    map.
+    map. The probe is a second full solve, so it runs only when ``state``
+    holds no probe value: a call that probes hands its value on in
+    tv_state.divergence, and the next call returns that value without a
+    probe and hands on a state that holds none. A chain of warm calls thus
+    probes every second call, and ``probe_seed`` goes unused on the others.
     """
     check_real("lam", lam, strict=True)
     x = check_grid(x, name="x")
 
     u, converged, end = _tv_bregman_estimate(x, lam, _TV_INNER_ITERS, state)
-    div = mc_divergence(lambda v: _tv_bregman_estimate(v, lam, _TV_INNER_ITERS, state)[0], x,
-                        probe_seed=probe_seed, eps=_TV_PROBE_EPS, _precomputed=u)
-    # prox of a convex function: each diagonal slope lies in [0, 1]
-    div = float(min(max(div, 0.0), 1.0))
+    if state is not None and state.divergence is not None:
+        div = state.divergence
+    else:
+        div = mc_divergence(lambda v: _tv_bregman_estimate(v, lam, _TV_INNER_ITERS, state)[0], x,
+                            probe_seed=probe_seed, eps=_TV_PROBE_EPS, _precomputed=u)
+        # prox of a convex function: each diagonal slope lies in [0, 1]
+        div = float(min(max(div, 0.0), 1.0))
+        end = replace(end, divergence=div)
     return DenoiseOutput(estimate=u, divergence_avg=div, tv_converged=converged, tv_state=end)
 
 

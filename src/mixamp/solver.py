@@ -13,6 +13,13 @@ noise in the pseudo-data decorrelated across iterations:
 Iteration stops when the relative change of the estimate pair drops
 below the configured tolerance.
 
+A TV denoiser's <eta'> is a Monte-Carlo probe that costs a second full
+TV solve, so it is refreshed every second step: the TV solve state
+carried from step to step holds the last probe value, and the step
+after a probe reuses it (see denoise.tv_denoise_bregman). A back-off
+returns to a state of the accepted path, so a reused value never comes
+from a discarded step.
+
 Each run starts undamped (step 1.0) and backs off when theta blows up.
 mixamp_step returns whatever it computed and mixamp_run alone judges it,
 by one test that a NaN theta fails too: a step whose theta is non-finite
@@ -103,14 +110,18 @@ class IterationTrace:
     """One record per completed iteration, serializable to CSV.
 
     converged is set when the solver's stopping rule ended the run, and
-    stays False for a run that reached max_iters. A mixamp run also records
-    the step it ended with (damping_final) and how many times it backed
-    off; a baseline run records the padded step constant L it used
-    (lipschitz). None of them is part of the CSV schema.
+    stays False for a run that reached max_iters. steps counts every step
+    the solver ran, a discarded mixamp step or a rejected baseline
+    candidate included, so it is comparable across solvers where the
+    record count is not. A mixamp run also records the step it ended with
+    (damping_final) and how many times it backed off; a baseline run
+    records the padded step constant L it used (lipschitz). None of them
+    is part of the CSV schema.
     """
 
     records: list = field(default_factory=list)
     converged: bool = False
+    steps: int = 0
     damping_final: float | None = None
     backoffs: int = 0
     lipschitz: float | None = None
@@ -289,6 +300,7 @@ def mixamp_run(a, y, mask, cfg):
         tic = time.perf_counter()
         new_state = mixamp_step(state, op, y, step_cfg)
         wall_ms = (time.perf_counter() - tic) * 1e3
+        trace.steps += 1
         if not new_state.theta <= limit:  # a NaN theta fails the test too
             if step_cfg.damping <= cfg.damping:
                 raise SolverDivergenceError(

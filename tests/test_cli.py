@@ -124,6 +124,7 @@ class TestSeparate:
         # names the step that blew up, one past the last traced iteration
         assert record["iters"] == record["diverged_at"] - 1
         assert (record["damping_final"], record["backoffs"]) == (1.0, 0)
+        assert record["steps"] == record["diverged_at"]  # the traced steps and the blow-up
         assert "xhat_a" not in record and not (out / "xhat_a.pgm").exists()
 
     def test_give_up_after_back_offs_names_the_step_that_blew_up(self, tmp_path):
@@ -132,8 +133,10 @@ class TestSeparate:
                        "--sparsity", "1.0", "--seed", "1", "--solver", "both",
                        "--no-timing", "--out", str(out)) == 1
         record = json.loads((out / "manifest.json").read_text())["outputs"]["mixamp"]
-        # steps 1 and 2 are traced, and step 3 blows up at the floor after four back-offs
+        # steps 1 and 2 are traced, and step 3 blows up at the floor after four
+        # back-offs; eight steps ran, the discarded ones and the last blow-up included
         assert (record["iters"], record["diverged_at"], record["backoffs"]) == (2, 3, 4)
+        assert record["steps"] == 8
         assert len((out / "trace_mixamp.csv").read_text().splitlines()) == 1 + 2
 
     @staticmethod
@@ -164,8 +167,8 @@ class TestSeparate:
         lipschitz = baseline.estimate_lipschitz(linops.MeasurementOperator(a, mask),
                                                 cli._baseline_config(params))
         assert record == {"trace": "trace_baseline.csv", "iters": record["diverged_at"] - 1,
-                          "converged": False, "diverged_at": record["diverged_at"],
-                          "lipschitz": lipschitz}
+                          "steps": record["diverged_at"], "converged": False,
+                          "diverged_at": record["diverged_at"], "lipschitz": lipschitz}
         assert len((out / "trace_baseline.csv").read_text().splitlines()) == record["iters"] + 1
 
     def test_max_iters_bounds_both_solvers(self, tmp_path):
@@ -175,11 +178,13 @@ class TestSeparate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["max_iters"] == 5
         # the baseline traces every iteration; mixamp's discarded steps count
-        # toward max_iters but leave no row
+        # toward max_iters but leave no row, so only steps compares the two
         assert len((out / "trace_baseline.csv").read_text().splitlines()) == 1 + 5
         assert manifest["outputs"]["baseline"]["iters"] == 5
-        assert manifest["outputs"]["mixamp"]["iters"] <= 5
+        assert manifest["outputs"]["mixamp"]["iters"] == 3
+        assert manifest["outputs"]["mixamp"]["backoffs"] == 2
         for name in ("mixamp", "baseline"):
+            assert manifest["outputs"][name]["steps"] == 5
             assert manifest["outputs"][name]["converged"] is False
 
     def test_unsatisfiable_disjoint_names_both_counts(self, tmp_path, capsys):

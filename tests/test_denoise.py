@@ -1,6 +1,8 @@
 """Denoiser tests against brute-force prox, finite-difference divergence,
 and subgradient-descent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,45 @@ class TestTvWarmStart:
         assert out.divergence_avg == min(max(div, 0.0), 1.0)
         assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(state)))
         assert out.tv_state is not state and out.tv_state.mu == 2.0 * 1.7
+
+    def carried(self):
+        """A warm state that carries the probe value 0.375, and the same state
+        without one."""
+        _, state = _converged_state(self.X, 1.0)
+        return dataclasses.replace(state, divergence=0.375), state
+
+    def test_carried_probe_value_is_returned_exactly(self):
+        carried, _ = self.carried()
+        out = denoise.tv_denoise_bregman(self.X, 1.7, carried, probe_seed=3)
+        assert out.divergence_avg == 0.375
+
+    def test_carried_probe_value_runs_no_probe(self, monkeypatch):
+        carried, _ = self.carried()
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("mc_divergence called")
+
+        monkeypatch.setattr(denoise, "mc_divergence", no_probe)
+        denoise.tv_denoise_bregman(self.X, 1.7, carried, probe_seed=3)
+
+    def test_carried_probe_value_leaves_the_estimate_as_a_probe_does(self):
+        carried, bare = self.carried()
+        reused = denoise.tv_denoise_bregman(self.X, 1.7, carried, probe_seed=3)
+        probed = denoise.tv_denoise_bregman(self.X, 1.7, bare, probe_seed=3)
+        assert np.array_equal(reused.estimate, probed.estimate)
+        assert reused.tv_converged == probed.tv_converged
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_arrays(reused.tv_state), _arrays(probed.tv_state)))
+
+    def test_a_reuse_hands_on_no_probe_value_and_a_probe_hands_on_its_own(self):
+        carried, bare = self.carried()
+        reused = denoise.tv_denoise_bregman(self.X, 1.7, carried)
+        probed = denoise.tv_denoise_bregman(self.X, 1.7, bare)
+        assert reused.tv_state.divergence is None
+        assert probed.tv_state.divergence == probed.divergence_avg
+        # a chain of warm calls thus probes every second call
+        assert denoise.tv_denoise_bregman(self.X, 1.7, reused.tv_state).tv_state.divergence \
+            is not None
 
     def test_cold_call_returns_a_state(self):
         out = denoise.tv_denoise_bregman(self.X, 1.3)

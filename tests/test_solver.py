@@ -1,12 +1,13 @@
 """Solver tests: initialization, step algebra, stopping rule, invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from mixamp import baseline, checks, data, denoise, linops, solver
+from mixamp import baseline, checks, cli, data, denoise, linops, solver
 from mixamp.exceptions import DimensionError, DomainError, SolverDivergenceError
 
 SOFT = denoise.DenoiserSpec(kind="soft")
@@ -480,6 +481,70 @@ class TestTvStateCarry:
         state = denoise.tv_denoise_bregman(x, 1.0).tv_state
         out = solver.apply_denoiser(self.TV, x, 0.0, tv_state=state)
         assert np.array_equal(out.estimate, x) and out.tv_state is None
+
+
+class TestTvProbePeriod:
+    """A TV component probes its divergence every second step and reuses the
+    value in between."""
+
+    @staticmethod
+    def cli_problem(side, seed):
+        """The CLI's tv problem and mixamp config (Gaussian sensing, floor 0.3)."""
+        p = cli._resolve_params(cli.build_parser().parse_args(
+            ["separate", "--case", "tv", "--side", str(side), "--seed", str(seed)]))
+        a, mask, xa, xb, y = cli.build_problem(p)
+        return a, mask, xa, xb, y, cli._mixamp_config(p)
+
+    @pytest.mark.parametrize("tv_component", ["a", "b"])
+    def test_run_without_back_off_probes_on_even_steps(self, tv_component, monkeypatch):
+        _, mask, xa, xb, _, cfg = self.cli_problem(16, seed=0)
+        a = linops.dct_sensing(16)
+        y = linops.forward(a, xa + xb, mask)
+        if tv_component == "a":
+            cfg = replace(cfg, denoiser_a=cfg.denoiser_b, denoiser_b=cfg.denoiser_a)
+        seeds = []
+        probe = denoise.mc_divergence
+        monkeypatch.setattr(denoise, "mc_divergence",
+                            lambda *args, probe_seed, **kw: seeds.append(probe_seed)
+                            or probe(*args, probe_seed=probe_seed, **kw))
+        _, _, trace = solver.mixamp_run(a, y, mask, cfg)
+        assert trace.backoffs == 0 and trace.converged and trace.steps == len(trace) > 10
+        offset = 0 if tv_component == "a" else 1
+        assert seeds == [2 * t + offset for t in range(0, trace.steps, 2)]
+
+    def test_reused_values_come_from_the_accepted_path(self, monkeypatch):
+        # this run backs off three times, the third time to a state at step 7
+        # that carries a probe value; most back-offs return to the zero start
+        a, mask, _, _, y, cfg = self.cli_problem(32, seed=9)
+        steps, solves = [], []  # (state in, state out), (TV state in, output)
+        step, tv = solver.mixamp_step, denoise.tv_denoise_bregman
+
+        def recorded_step(state, *args):
+            steps.append((state, step(state, *args)))
+            return steps[-1][1]
+
+        def recorded_tv(x, lam, state=None, probe_seed=0):
+            solves.append((state, tv(x, lam, state, probe_seed)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(solver, "mixamp_step", recorded_step)
+        monkeypatch.setattr(denoise, "tv_denoise_bregman", recorded_tv)
+        _, _, trace = solver.mixamp_run(a, y, mask, cfg)
+        assert trace.backoffs == 3 and trace.steps == len(steps) == len(solves)
+
+        limit = solver.BLOWUP_FACTOR * steps[0][0].theta
+        accepted = [new.tv_b for _, new in steps if new.theta <= limit]
+        reused = [(start, out) for start, out in solves
+                  if start is not None and start.divergence is not None]
+        assert len(reused) >= trace.steps // 2 - trace.backoffs
+        for start, out in reused:
+            assert out.divergence_avg == start.divergence
+            assert any(start is held for held in accepted)
+        # a step that resumes after a back-off reuses the value of the state it resumes from
+        resumed = [steps[i + 1][0] for i, (_, new) in enumerate(steps[:-1]) if new.theta > limit]
+        carrying = [state.t for state in resumed
+                    if state.tv_b is not None and state.tv_b.divergence is not None]
+        assert carrying == [7]
 
 
 class TestNonFiniteMeasurement:
