@@ -155,7 +155,8 @@ def baseline_solve(a, y, mask, cfg, variant):
     Runs at most cfg.max_iters iterations, like mixamp_run, and sets
     trace.converged when an accepted step meets cfg.tol. Gives up with
     SolverDivergenceError, naming the iteration and carrying the partial
-    trace (see the module docstring).
+    trace (see the module docstring). An L that overflows (by rho, or in a
+    Lanczos product) is a DomainError before the first iteration.
     """
     check_choice("variant", variant, BASELINE_VARIANTS)
     if variant == "group":
@@ -163,6 +164,7 @@ def baseline_solve(a, y, mask, cfg, variant):
     y = linops.masked_measurements(mask, y)
     op = linops.MeasurementOperator(a, mask)
     lip = estimate_lipschitz(op, cfg)
+    check_real(f"the step constant L of rho {cfg.rho:g}", lip, strict=True)
 
     side = a.side
     xa = np.zeros((side, side))

@@ -196,17 +196,17 @@ def dct_equivalence(instances, scale=1.0):
     return float(worst)
 
 
-def residual_support(a, mask, y, cfg, iters):
-    """Worst relative gap of theta to ||R||_F^2 / M over iters normalized steps.
+def residual_support(a, mask, y, cfg, iters, step=1.0):
+    """Worst relative gap of theta to ||R||_F^2 / M over iters steps of the
+    given step from mixamp_run's start.
 
     Returns inf once R is nonzero outside Omega, where it must vanish exactly.
     """
-    y, scale = solver.normalize_problem(a, y, mask)
-    op = linops.MeasurementOperator(a, mask, scale)
+    y, op = solver.normalize_problem(a, y, mask)
     state = solver.mixamp_init(y, mask)
     worst = 0.0
     for _ in range(iters):
-        state = solver.mixamp_step(state, op, y, cfg)
+        state = solver.mixamp_step(state, op, y, cfg, step)
         if state.r[~mask.grid].any():
             return float("inf")
         theta = (state.r ** 2).sum() / mask.m
@@ -234,8 +234,7 @@ def onsager_ablation(a, mask, y, denoiser_a, denoiser_b):
     theta, so a fault in its map to thresholds shows. An instance where
     both vanish checks nothing and returns inf.
     """
-    y, scale = solver.normalize_problem(a, y, mask)
-    op = linops.MeasurementOperator(a, mask, scale)
+    y, op = solver.normalize_problem(a, y, mask)
     state = solver.mixamp_init(y, mask)
     new = solver.mixamp_step(state, op, y, solver.MixAmpConfig(denoiser_a, denoiser_b))
     z = op.adjoint(state.r)
@@ -281,7 +280,7 @@ SELFCHECKS = (
     ("dct_equivalence",
      lambda: dct_equivalence([(linops.gen_mask(32, 700, seed=10), _normal(9, 32))]), 1e-10),
     ("residual_support",
-     lambda: residual_support(*_problem(16, 200, 11), solver.MixAmpConfig(*_SPECS, damping=0.3),
-                              iters=10), 1e-15),
+     lambda: residual_support(*_problem(16, 200, 11), solver.MixAmpConfig(*_SPECS), iters=10,
+                              step=0.3), 1e-15),
     ("onsager_ablation", lambda: onsager_ablation(*_problem(16, 200, 11), *_SPECS), 1e-12),
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import baseline, checks, data, denoise, linops, solver
 from .exceptions import (DimensionError, MixAmpError, SolverDivergenceError, UnsupportedSizeError,
-                         check_choice, check_count, check_real)
+                         check_choice, check_count, check_fraction, check_real)
 
 # Calibrated front-end defaults per experiment case. The lambda pairs are
 # the reference values used for the corresponding comparison figures; tau
@@ -63,7 +63,6 @@ def _add_run_arguments(parser, case, sparsity):
     parser.add_argument("--solver", choices=SOLVERS, default="mixamp")
     parser.add_argument("--max-iters", type=int, default=500)
     parser.add_argument("--tol", type=float, default=5e-4)
-    parser.add_argument("--tau", type=float, default=None, help="threshold scale for both denoisers")
     parser.add_argument("--tau-a", type=float, default=None)
     parser.add_argument("--tau-b", type=float, default=None)
     parser.add_argument("--damping", type=float, default=DEFAULT_DAMPING,
@@ -121,12 +120,12 @@ PARAMS = (*_INT_PARAMS, *_REAL_PARAMS, *_BOOL_PARAMS, *_CHOICE_PARAMS, "image")
 
 
 def _resolve_params(args):
-    """Normalize separate/sweep args into one plain parameter dict; an unset
-    tau_a or tau_b takes --tau if given, and every value still unset its case default."""
+    """Normalize separate/sweep args into one plain parameter dict; a value
+    left unset takes its case default."""
     p = {key: getattr(args, key) for key in PARAMS}
     for key, default in CASE_DEFAULTS[p["case"]].items():
         if p[key] is None:
-            p[key] = args.tau if key.startswith("tau_") and args.tau is not None else default
+            p[key] = default
     return p
 
 
@@ -170,8 +169,7 @@ def _validate_params(p):
     if p["image"] is not None and p["case"] != "tv":
         raise MixAmpError(f"param image must be null outside the tv case, got {p['image']!r} "
                           f"for case {p['case']!r}")
-    if p["sampling"] > 1.0:
-        raise MixAmpError(f"sampling must lie in (0, 1], got {p['sampling']}")
+    check_fraction("param sampling", p["sampling"], strict=True)
     _sample_count(p)
     need = WORKING_SET_GRIDS * 8 * p["side"] * p["side"]
     available = _available_memory()
@@ -319,9 +317,8 @@ def run_separation(p, out_dir):
             "solver": name,
         })
     data.write_metrics_csv(out / "metrics.csv", rows)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    (out / "manifest.json").write_text(text + "\n")
     return code, rows
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (DimensionError, DomainError, ImageFormatError, check_block_side,
-                         check_choice, check_count, check_grid, check_real)
+                         check_choice, check_count, check_fraction, check_grid)
 
 PHANTOM_KINDS = ("shot_noise", "group_sparse")
 
@@ -37,14 +37,10 @@ class PhantomSpec:
         check_count("side", self.side, 2, DimensionError)
         check_count("seed", self.seed, 0)
         if self.kind == "shot_noise":
-            check_real("sparsity", self.sparsity, strict=True)
-            if self.sparsity > 1.0:
-                raise DomainError(f"sparsity must lie in (0, 1], got {self.sparsity}")
+            check_fraction("sparsity", self.sparsity, strict=True)
         if self.kind == "group_sparse":
             check_count("block_side", self.block_side, 1, DimensionError)
-            check_real("active_fraction", self.active_fraction, strict=False)
-            if self.active_fraction > 1.0:
-                raise DomainError(f"active_fraction must lie in [0, 1], got {self.active_fraction}")
+            check_fraction("active_fraction", self.active_fraction, strict=False)
 
 
 def gen_shot_noise(spec, forbidden=None):

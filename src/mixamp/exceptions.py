@@ -4,8 +4,9 @@ Every module imports this one, so each argument rule is written once,
 here, next to the error it raises, and a library call is checked by the
 same code as a CLI flag or manifest value: check_count (an integer >= a
 minimum; DimensionError for a size, DomainError otherwise), check_real (a
-finite real, > 0 or >= 0), check_choice, check_grid (a square 2D array)
-and check_block_side (a block side that tiles the grid).
+finite real, > 0 or >= 0), check_fraction (a real in (0, 1] or [0, 1]),
+check_choice, check_grid (a square 2D array) and check_block_side (a
+block side that tiles the grid).
 
 A size that a routine does not take is an UnsupportedSizeError, whatever the routine.
 """
@@ -84,6 +85,13 @@ def check_real(name, value, strict):
     if not (real and (0.0 < value < _INF if strict else 0.0 <= value < _INF)):
         raise DomainError(f"{name} must be a finite real number {'>' if strict else '>='} 0, "
                           f"got {value!r}")
+
+
+def check_fraction(name, value, strict):
+    """check_real, and at most 1: a real number in (0, 1] if strict, else in [0, 1]."""
+    check_real(name, value, strict)
+    if value > 1.0:
+        raise DomainError(f"{name} must lie in {'(' if strict else '['}0, 1], got {value!r}")
 
 
 def check_choice(name, value, choices):

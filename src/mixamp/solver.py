@@ -21,7 +21,8 @@ returns to a state of the accepted path, so a reused value never comes
 from a discarded step.
 
 Each run starts undamped (step 1.0) and backs off when theta blows up.
-mixamp_step returns whatever it computed and mixamp_run alone judges it,
+mixamp_step applies the step it is given and returns whatever it
+computed; mixamp_run holds the step in force and alone judges the state,
 by one test that a NaN theta fails too: a step whose theta is non-finite
 or exceeds BLOWUP_FACTOR * theta_0 is discarded, the run returns to its
 lowest-theta state so far and multiplies its step by BACKOFF, never
@@ -37,13 +38,13 @@ jump hundreds of times above its minimum in a run that converges.
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import denoise, linops
-from .exceptions import (DimensionError, DomainError, SolverDivergenceError,
-                         check_block_side, check_count, check_grid, check_real)
+from .exceptions import (DimensionError, SolverDivergenceError, check_block_side, check_count,
+                         check_fraction, check_grid, check_real)
 
 TRACE_COLUMNS = ("t", "theta", "tol", "residual_norm", "wall_ms")
 # A step is a blow-up when its theta exceeds this multiple of theta_0.
@@ -61,7 +62,7 @@ class MixAmpConfig:
     theta_0, the theta of the zero estimate (not of the running minimum,
     which converging runs leave far behind near exact recovery); a
     blow-up at the floor is a divergence. 1.0 therefore runs undamped
-    and fails on the first blow-up. mixamp_step applies damping as given.
+    and fails on the first blow-up.
     """
 
     denoiser_a: denoise.DenoiserSpec
@@ -73,9 +74,7 @@ class MixAmpConfig:
     def __post_init__(self):
         check_count("max_iters", self.max_iters, 1)
         check_real("tol", self.tol, strict=True)
-        check_real("damping", self.damping, strict=True)
-        if self.damping > 1.0:
-            raise DomainError("damping must lie in (0, 1]")
+        check_fraction("damping", self.damping, strict=True)
 
 
 @dataclass
@@ -180,15 +179,16 @@ def apply_denoiser(spec, x, theta, probe_seed=0, tv_state=None):
     return denoise.tv_denoise_bregman(x, 1.0 / thr, tv_state, probe_seed)
 
 
-def mixamp_step(state, op, y, cfg):
+def mixamp_step(state, op, y, cfg, step=1.0):
     """One Algorithm-1 iteration; returns a new state, inputs untouched.
 
-    ``op`` is the linops.MeasurementOperator of the run; ``y`` holds the
-    measurements at its scale. A TV denoiser starts from the solve state
-    it left in ``state`` and hands its new one on in the returned state.
-    The state is returned as computed, even with a non-finite theta:
-    mixamp_run, not the step, judges it.
+    ``op`` and ``y`` are as normalize_problem returns them. Each update is
+    (1 - step) * old + step * new, step in (0, 1]; cfg.damping plays no
+    part. A TV denoiser starts from the solve state it left in ``state``
+    and hands its new one on in the returned state. The state is returned
+    as computed, even with a non-finite theta: mixamp_run judges it.
     """
+    check_fraction("step", step, strict=True)
     side = op.side
     check_grid(state.r, side, "state residual")
     check_grid(y, side, "measurements")
@@ -209,15 +209,14 @@ def mixamp_step(state, op, y, cfg):
         out_b = apply_denoiser(cfg.denoiser_b, z, state.theta, probe_seed + 1, state.tv_b)
         scratch = va
 
-        beta = cfg.damping
-        xa_new = _blend(out_a.estimate, state.xa, beta, scratch)
-        xb_new = _blend(out_b.estimate, state.xb, beta, scratch)
+        xa_new = _blend(out_a.estimate, state.xa, step, scratch)
+        xb_new = _blend(out_b.estimate, state.xb, step, scratch)
 
         onsager = (n / m) * (out_a.divergence_avg + out_b.divergence_avg)
         r_new = op.forward(np.add(xa_new, xb_new, out=scratch))
         np.subtract(y, r_new, out=r_new)
         r_new += np.multiply(onsager, state.r, out=scratch)
-        r_new = _blend(r_new, state.r, beta, scratch)
+        r_new = _blend(r_new, state.r, step, scratch)
 
         theta_new = float(np.square(r_new, out=scratch).sum() / m)  # (r ** 2).sum() / m
     return MixAmpState(xa=xa_new, xb=xb_new, r=r_new, theta=theta_new, t=state.t + 1,
@@ -258,19 +257,20 @@ def stopping_tol(prev, cur):
 
 
 def normalize_problem(a, y, mask):
-    """Rescale (A, Y) so the composed masked operator has unit column gain.
+    """Start of a mixamp run: Y on Omega, (A, Y) rescaled to unit column gain.
 
     With A scaled by c, Y scales by c^2 and the estimated signals are
     unchanged, so this is an exact reparameterization. It restores the
     threshold/correction calibration that the iteration assumes, which the
     raw N(0, 1/M) normalization does not provide for the two-sided product.
-    Returns (c^2 Y, c); a solver passes the unscaled matrix and c to
-    linops.MeasurementOperator, which applies the scale.
+    Returns (c^2 Y, op), op = linops.MeasurementOperator(a, mask, c) that
+    applies the scale; see mixamp_run for the errors.
     """
+    y = linops.masked_measurements(mask, y)
     q = float(np.mean((a.entries ** 2).sum(axis=0)))
     n = a.side * a.side
     c = (n / mask.m) ** 0.25 / np.sqrt(q)
-    return (c * c) * y, c
+    return (c * c) * y, linops.MeasurementOperator(a, mask, c)
 
 
 def mixamp_run(a, y, mask, cfg):
@@ -279,7 +279,7 @@ def mixamp_run(a, y, mask, cfg):
     Returns (xa, xb, trace). Before any work, a block side that does not
     divide the grid side raises DimensionError, a non-finite sampled
     measurement DomainError, and a measurement map that is identically
-    zero DegenerateProblemError (from linops.MeasurementOperator). The
+    zero DegenerateProblemError (all from normalize_problem). The
     step starts at 1.0 and backs off on each blow-up (see the module
     docstring); discarded steps count toward max_iters, and the trace
     holds the accepted path only. A blow-up at the damping floor raises
@@ -289,26 +289,24 @@ def mixamp_run(a, y, mask, cfg):
     for spec in (cfg.denoiser_a, cfg.denoiser_b):
         if spec.kind == "block_soft":
             check_block_side(a.side, spec.block_side)
-    y, scale = normalize_problem(a, linops.masked_measurements(mask, y), mask)
-    op = linops.MeasurementOperator(a, mask, scale)
+    y, op = normalize_problem(a, y, mask)
 
     state = best = mixamp_init(y, mask)
     limit = BLOWUP_FACTOR * state.theta
-    step_cfg = replace(cfg, damping=1.0)
-    trace = IterationTrace(damping_final=step_cfg.damping)
+    step = 1.0
+    trace = IterationTrace(damping_final=step)
     for _ in range(cfg.max_iters):
         tic = time.perf_counter()
-        new_state = mixamp_step(state, op, y, step_cfg)
+        new_state = mixamp_step(state, op, y, cfg, step)
         wall_ms = (time.perf_counter() - tic) * 1e3
         trace.steps += 1
         if not new_state.theta <= limit:  # a NaN theta fails the test too
-            if step_cfg.damping <= cfg.damping:
+            if step <= cfg.damping:
                 raise SolverDivergenceError(
-                    f"theta blew up at damping {step_cfg.damping:g} after iteration {state.t}",
+                    f"theta blew up at step {step:g} after iteration {state.t}",
                     iteration=state.t + 1, trace=trace,
                 )
-            step_cfg = replace(step_cfg, damping=max(BACKOFF * step_cfg.damping, cfg.damping))
-            trace.damping_final = step_cfg.damping
+            step = trace.damping_final = max(BACKOFF * step, cfg.damping)
             trace.backoffs += 1
             state = best
             del trace.records[state.t:]

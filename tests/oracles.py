@@ -240,8 +240,9 @@ def straight_line_psnr(reference, estimate):
     return 10.0 * np.log10(peak * peak / mse)
 
 
-def reference_mixamp_step(state, op, y, cfg):
-    """One mixamp iteration written as its plain formulas, every array fresh.
+def reference_mixamp_step(state, op, y, cfg, step=1.0):
+    """One mixamp iteration at the given step written as its plain formulas,
+    every array fresh.
 
     Takes the denoisers from mixamp.solver.apply_denoiser, so it differs from
     solver.mixamp_step only in how the step's own arithmetic is laid out in
@@ -255,7 +256,7 @@ def reference_mixamp_step(state, op, y, cfg):
                                       state.tv_a)
         out_b = solver.apply_denoiser(cfg.denoiser_b, z + state.xb, state.theta, probe_seed + 1,
                                       state.tv_b)
-        beta = cfg.damping
+        beta = step
         xa_new = out_a.estimate if beta == 1.0 else (1.0 - beta) * state.xa + beta * out_a.estimate
         xb_new = out_b.estimate if beta == 1.0 else (1.0 - beta) * state.xb + beta * out_b.estimate
         onsager = (n / m) * (out_a.divergence_avg + out_b.divergence_avg)

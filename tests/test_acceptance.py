@@ -133,9 +133,8 @@ def test_criterion_5_structural_checks():
     cfg = solver.MixAmpConfig(
         denoiser_a=denoise.DenoiserSpec(kind="soft", tau=2.5),
         denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.0),
-        damping=0.3,
     )
-    theta_violation = checks.residual_support(a, mask, y, cfg, iters=25)
+    theta_violation = checks.residual_support(a, mask, y, cfg, iters=25, step=0.3)
     # Onsager ablation at t = 1 (undamped step so the difference is exact)
     ablation_err = checks.onsager_ablation(a, mask, y, cfg.denoiser_a, cfg.denoiser_b)
     ok = theta_violation <= 1e-15 and ablation_err <= 1e-12

@@ -267,6 +267,22 @@ class TestBaselineSolve:
         start = 0.5 * cfg.rho * (y ** 2).sum()
         assert trace.records[-1].objective <= start
 
+    @pytest.mark.parametrize("cause", ["rho", "lanczos"])
+    def test_non_finite_step_constant_is_a_domain_error(self, cause, monkeypatch):
+        # rho = 1e308 overflows L to inf, and an overflowed Lanczos product makes it
+        # NaN; the step 1/L = 0 of an infinite L stalled at the zero estimate and
+        # read as converged
+        a, mask, _, _, y = group_problem()
+        cfg = baseline.BaselineConfig(0.5, 1.2, rho=1e308 if cause == "rho" else 1e4)
+        if cause == "lanczos":
+            monkeypatch.setattr(baseline, "estimate_lipschitz", lambda op, cfg: float("nan"))
+        products = []
+        adjoint = linops.adjoint
+        monkeypatch.setattr(linops, "adjoint", lambda *args: products.append(1) or adjoint(*args))
+        with pytest.raises(DomainError, match=r"^the step constant L of rho .* got (inf|nan)$"):
+            baseline.baseline_solve(a, y, mask, cfg, "group")
+        assert not products  # raised before the first iteration
+
     def test_stopping_tol_matches_solver_formula(self):
         a, mask, _, _, y = group_problem(seed=11)
         cfg = baseline.BaselineConfig(max_iters=500, tol=1e-3, **CFG_GROUP)

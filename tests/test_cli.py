@@ -112,7 +112,7 @@ class TestSeparate:
         out = tmp_path / "div"
         code = run_cli(
             "separate", "--case", "group", "--side", "32", "--seed", "0",
-            "--damping", "1.0", "--tau", "1.0", "--out", str(out),
+            "--damping", "1.0", "--tau-a", "1.0", "--tau-b", "1.0", "--out", str(out),
         )
         assert code == 1
         assert (out / "trace.csv").exists()
@@ -170,6 +170,16 @@ class TestSeparate:
                           "steps": record["diverged_at"], "converged": False,
                           "diverged_at": record["diverged_at"], "lipschitz": lipschitz}
         assert len((out / "trace_baseline.csv").read_text().splitlines()) == record["iters"] + 1
+
+    def test_overflowing_rho_exit_2_keeps_mixamp_outputs(self, tmp_path, capsys):
+        # L is found infinite only once the baseline's operator exists, after
+        # mixamp has written its outputs; the run writes no metrics and no manifest
+        out = tmp_path / "rho"
+        assert run_cli("separate", "--side", "16", "--solver", "both", "--rho", "1e308",
+                       "--no-timing", "--out", str(out)) == 2
+        assert "L of rho 1e+308 must be a finite real number > 0, got inf" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "trace_mixamp.csv", "xhat_a_mixamp.pgm", "xhat_b_mixamp.pgm"]
 
     def test_max_iters_bounds_both_solvers(self, tmp_path):
         out = tmp_path / "max5"
@@ -264,6 +274,27 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert str(path) in err and "unknown params: sensing, zeta" in err
         assert not out.exists()
+
+
+class TestCommittedManifests:
+    """Manifests written by `separate --side 16 --solver both --no-timing`, group
+    and tv, kept under tests/fixtures so a change to the params shows as a
+    replay that fails. Only the params are compared with the fixture: the
+    outputs hold full-precision values that depend on the BLAS build."""
+
+    @pytest.mark.parametrize("case", ["group", "tv"])
+    def test_replays_to_the_same_params_and_bytes(self, tmp_path, case):
+        fixture = Path(__file__).parent / "fixtures" / f"manifest_{case}.json"
+        params = json.loads(fixture.read_text())["params"]
+        assert params["case"] == case
+        dirs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in dirs:
+            assert run_cli("separate", "--manifest", str(fixture), "--out", str(out)) == 0
+            assert json.loads((out / "manifest.json").read_text())["params"] == params
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir()) and len(names) == 8
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 class TestSweep:
@@ -392,7 +423,7 @@ class TestSweep:
 class TestParsedDefaults:
     SHARED = {
         "side": 64, "block": 4, "active_fraction": 0.25, "image": None,
-        "solver": "mixamp", "max_iters": 500, "tol": 5e-4, "tau": None, "tau_a": None,
+        "solver": "mixamp", "max_iters": 500, "tol": 5e-4, "tau_a": None,
         "tau_b": None, "damping": 0.3, "lambda1": None, "lambda2": None, "rho": 1e4,
         "record_timing": True,
     }
@@ -413,15 +444,22 @@ class TestParsedDefaults:
 
 
 class TestResolveParams:
-    """How flags, --tau and the case defaults make one param dict."""
+    """How flags and the case defaults make one param dict."""
 
     @staticmethod
     def resolve(*argv):
         return cli._resolve_params(cli.build_parser().parse_args(list(argv)))
 
-    def test_tau_b_flag_beats_tau(self):
-        params = self.resolve("separate", "--tau", "0.9", "--tau-b", "1.3")
-        assert (params["tau_a"], params["tau_b"]) == (0.9, 1.3)
+    def test_tau_b_flag_leaves_tau_a_at_case_default(self):
+        params = self.resolve("separate", "--tau-b", "1.3")
+        assert (params["tau_a"], params["tau_b"]) == (cli.CASE_DEFAULTS["group"]["tau_a"], 1.3)
+
+    def test_tau_is_an_ambiguous_prefix_exit_2_writes_nothing(self, tmp_path, capsys):
+        # each threshold has one flag; --tau could mean either
+        out = tmp_path / "x"
+        assert run_cli("separate", "--tau", "1.0", "--out", str(out)) == 2
+        assert "ambiguous option: --tau" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tv_case_defaults_without_tau_flags(self):
         params = self.resolve("separate", "--case", "tv")
@@ -555,8 +593,7 @@ class TestManifestParamTypes:
         assert not out.exists()
 
     def test_non_finite_flag_exit_2_names_key(self, tmp_path, capsys):
-        # --tau sets both thresholds; the first one checked is named
-        assert run_cli("separate", "--tau", "nan", "--out", str(tmp_path / "x")) == 2
+        assert run_cli("separate", "--tau-a", "nan", "--out", str(tmp_path / "x")) == 2
         assert "param tau_a must be a finite real number" in capsys.readouterr().err
 
     def test_negative_seed_exit_2_writes_nothing(self, tmp_path, capsys):

@@ -120,9 +120,8 @@ class TestStep:
         cfg = self.cfg(
             denoiser_a=denoise.DenoiserSpec(kind="soft", tau=2.5),
             denoiser_b=denoise.DenoiserSpec(kind="block_soft", block_side=4, tau=1.2),
-            damping=0.3,
         )
-        assert checks.residual_support(a, mask, y, cfg, iters=25) <= 1e-15
+        assert checks.residual_support(a, mask, y, cfg, iters=25, step=0.3) <= 1e-15
 
     def test_onsager_ablation_difference_at_t1(self):
         a, mask, _, _, y = small_problem(seed=2)
@@ -146,6 +145,22 @@ class TestStep:
         # and names the step that blew up, one past the last traced iteration
         assert info.value.iteration == len(steps) == len(info.value.trace) + 1 <= 20
 
+    def test_floor_plays_no_part_in_a_step(self):
+        # damping is the floor of mixamp_run's step; mixamp_step applies the step it is given
+        op, y = _operator_problem("gaussian", seed=5)
+        state = solver.mixamp_init(y, op.mask)
+        floored = solver.mixamp_step(state, op, y, self.cfg(damping=0.3))
+        undamped = solver.mixamp_step(state, op, y, self.cfg(damping=1.0))
+        for name in ("xa", "xb", "r"):
+            assert np.array_equal(getattr(floored, name), getattr(undamped, name)), name
+        assert floored.theta == undamped.theta
+
+    @pytest.mark.parametrize("step", [0.0, 1.5, float("nan"), True], ids=["0", "1.5", "nan", "bool"])
+    def test_step_outside_unit_interval_is_a_domain_error(self, step):
+        op, y = _operator_problem("gaussian", seed=5)
+        with pytest.raises(DomainError, match="^step must"):
+            solver.mixamp_step(solver.mixamp_init(y, op.mask), op, y, self.cfg(), step)
+
 
 def _operator_problem(sensing, seed):
     """(op, y) of a normalized side-32 problem under Gaussian or DCT sensing."""
@@ -153,8 +168,7 @@ def _operator_problem(sensing, seed):
     if sensing == "dct":
         a = linops.dct_sensing(32)
         y = linops.forward(a, xa + xb, mask)
-    y, c = solver.normalize_problem(a, y, mask)
-    op = linops.MeasurementOperator(a, mask, c)
+    y, op = solver.normalize_problem(a, y, mask)
     assert op.fast == (sensing == "dct")
     return op, y
 
@@ -166,16 +180,16 @@ class TestStepMatchesReference:
     """mixamp_step, which works in place, equals the plain formulas bit for bit."""
 
     @pytest.mark.parametrize("sensing", ["gaussian", "dct"])
-    @pytest.mark.parametrize("denoiser_b,damping", [(BLOCK4, 1.0), (BLOCK4, 0.49), (TV5, 0.49)],
+    @pytest.mark.parametrize("denoiser_b,step", [(BLOCK4, 1.0), (BLOCK4, 0.49), (TV5, 0.49)],
                              ids=["block-1.0", "block-0.49", "tv-0.49"])
-    def test_fifteen_steps(self, sensing, denoiser_b, damping):
+    def test_fifteen_steps(self, sensing, denoiser_b, step):
         op, y = _operator_problem(sensing, seed=6)
         cfg = solver.MixAmpConfig(denoiser_a=denoise.DenoiserSpec(kind="soft", tau=1.5),
-                                  denoiser_b=denoiser_b, damping=damping)
+                                  denoiser_b=denoiser_b)
         state = ref = solver.mixamp_init(y, op.mask)
         for _ in range(15):
-            state = solver.mixamp_step(state, op, y, cfg)
-            ref = oracles.reference_mixamp_step(ref, op, y, cfg)
+            state = solver.mixamp_step(state, op, y, cfg, step)
+            ref = oracles.reference_mixamp_step(ref, op, y, cfg, step)
             for name in ("xa", "xb", "r"):
                 assert np.array_equal(getattr(state, name), getattr(ref, name)), (state.t, name)
             assert state.theta == ref.theta
@@ -192,12 +206,12 @@ class TestNoAliasing:
 
     def test_step(self):
         op, y = _operator_problem("gaussian", seed=7)
-        for denoiser_b, damping in ((BLOCK4, 1.0), (BLOCK4, 0.49), (TV5, 0.49)):
-            cfg = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=denoiser_b, damping=damping)
-            state = solver.mixamp_step(solver.mixamp_init(y, op.mask), op, y, cfg)
+        for denoiser_b, step in ((BLOCK4, 1.0), (BLOCK4, 0.49), (TV5, 0.49)):
+            cfg = solver.MixAmpConfig(denoiser_a=SOFT, denoiser_b=denoiser_b)
+            state = solver.mixamp_step(solver.mixamp_init(y, op.mask), op, y, cfg, step)
             inputs = (state.xa, state.xb, state.r, y)
             before = [array.copy() for array in inputs]
-            new = solver.mixamp_step(state, op, y, cfg)
+            new = solver.mixamp_step(state, op, y, cfg, step)
             for array, copy in zip(inputs, before):
                 assert np.array_equal(array, copy)
             for result in (new.xa, new.xb, new.r):
@@ -377,8 +391,7 @@ class TestBackoff:
         cfg = solver.MixAmpConfig(**self.SPECS, damping=1.0)
         xa_run, xb_run, trace = solver.mixamp_run(a, y, mask, cfg)
 
-        y_run, c = solver.normalize_problem(a, y, mask)
-        op = linops.MeasurementOperator(a, mask, c)
+        y_run, op = solver.normalize_problem(a, y, mask)
         state = solver.mixamp_init(y_run, mask)
         thetas = []
         for _ in range(cfg.max_iters):
@@ -396,9 +409,9 @@ class TestBackoff:
         a, mask, _, _, y = small_problem(side=32, mn=0.7, seed=1)
         cfg = solver.MixAmpConfig(**self.SPECS, damping=0.3)
         steps = []
-        step = solver.mixamp_step
-        monkeypatch.setattr(solver, "mixamp_step",
-                            lambda state, op, y, cfg: steps.append(cfg.damping) or step(state, op, y, cfg))
+        mixamp_step = solver.mixamp_step
+        monkeypatch.setattr(solver, "mixamp_step", lambda state, op, y, cfg, step:
+                            steps.append(step) or mixamp_step(state, op, y, cfg, step))
         _, _, trace = solver.mixamp_run(a, y, mask, cfg)
         assert trace.last.tol_value <= cfg.tol
         assert trace.backoffs >= 1 and steps[0] == 1.0
@@ -445,20 +458,20 @@ class TestTvStateCarry:
 
     TV = denoise.DenoiserSpec(kind="tv_bregman", tau=1.0)
 
-    def setup(self, damping):
+    def setup(self, step):
         a, mask, _, _, y = small_problem(seed=3)
-        y_run, c = solver.normalize_problem(a, y, mask)
+        y_run, op = solver.normalize_problem(a, y, mask)
         cfg = solver.MixAmpConfig(denoiser_a=denoise.DenoiserSpec(kind="soft", tau=2.0),
-                                  denoiser_b=self.TV, damping=damping)
-        op = linops.MeasurementOperator(a, mask, c)
-        return op, y_run, cfg, solver.mixamp_step(solver.mixamp_init(y_run, mask), op, y_run, cfg)
+                                  denoiser_b=self.TV)
+        return op, y_run, cfg, solver.mixamp_step(solver.mixamp_init(y_run, mask), op, y_run, cfg,
+                                                  step)
 
     def test_step_is_pure_and_hands_on_a_new_state(self):
-        op, y, cfg, s1 = self.setup(damping=0.3)
+        op, y, cfg, s1 = self.setup(step=0.3)
         assert s1.tv_a is None and isinstance(s1.tv_b, denoise.TvState)
         before = [s1.tv_b.p.copy(), s1.tv_b.d.copy(), s1.tv_b.b.copy()]
-        s2 = solver.mixamp_step(s1, op, y, cfg)
-        again = solver.mixamp_step(s1, op, y, cfg)
+        s2 = solver.mixamp_step(s1, op, y, cfg, 0.3)
+        again = solver.mixamp_step(s1, op, y, cfg, 0.3)
         for name in ("xa", "xb", "r"):
             assert np.array_equal(getattr(s2, name), getattr(again, name)), name
         assert s2.theta == again.theta and np.array_equal(s2.tv_b.p, again.tv_b.p)
@@ -466,7 +479,7 @@ class TestTvStateCarry:
         assert all(np.array_equal(a, b) for a, b in zip(before, (s1.tv_b.p, s1.tv_b.d, s1.tv_b.b)))
 
     def test_denoising_starts_from_the_carried_state(self):
-        op, y, cfg, s1 = self.setup(damping=1.0)
+        op, y, cfg, s1 = self.setup(step=1.0)
         thr = denoise.threshold_from_theta(s1.theta, self.TV.tau)
         seed = 2 * s1.t + 1
         expected = denoise.tv_denoise_bregman(op.adjoint(s1.r) + s1.xb, 1.0 / thr, s1.tv_b,
@@ -595,11 +608,25 @@ class TestNormalizeProblem:
         a, mask, _, _, y = small_problem(seed=7)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((16, 16))
-        y2, c = solver.normalize_problem(a, y, mask)
-        # the scaled pair describes the same linear relation
-        assert np.allclose(linops.MeasurementOperator(a, mask, c).forward(x),
-                           c * c * linops.forward(a, x, mask), rtol=1e-12, atol=1e-12)
-        assert np.allclose(y2, c * c * y, atol=0)
+        y2, op = solver.normalize_problem(a, y, mask)
+        # the scaled pair describes the same linear relation; op.gain is c^2
+        assert np.allclose(op.forward(x), op.gain * linops.forward(a, x, mask),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(y2, op.gain * y, atol=0)
+
+    @pytest.mark.parametrize("sensing", ["gaussian", "dct"])
+    def test_operator_equals_one_built_by_hand(self, sensing):
+        a, mask, xa, xb, y = small_problem(side=32, mn=0.7, seed=8)
+        if sensing == "dct":
+            a = linops.dct_sensing(32)
+        c = (32 * 32 / mask.m) ** 0.25 / np.sqrt(np.mean((a.entries ** 2).sum(axis=0)))
+        _, op = solver.normalize_problem(a, y, mask)
+        by_hand = linops.MeasurementOperator(a, mask, c)
+        assert op.fast == by_hand.fast == (sensing == "dct")
+        x = np.random.default_rng(8).standard_normal((32, 32))
+        r = linops.mask_apply(mask, x)
+        assert np.array_equal(op.forward(x), by_hand.forward(x))
+        assert np.array_equal(op.adjoint(r), by_hand.adjoint(r))
 
     def test_matrix_side_must_match_mask(self):
         # the side is the shape of entries, so a 4x4 matrix cannot pose as side 8
@@ -613,8 +640,8 @@ class TestNormalizeProblem:
         a = oracles.identity_sensing(8)
         mask = oracles.full_mask(8)
         y = np.ones((8, 8))
-        _, c = solver.normalize_problem(a, y, mask)
-        assert c == pytest.approx(1.0)
+        _, op = solver.normalize_problem(a, y, mask)
+        assert op.gain == pytest.approx(1.0)
 
 
 class TestConfigRejectsNaN:
