@@ -10,12 +10,12 @@ constrained form the objectives are usually stated in.
 
 The iteration is a monotone FISTA: the accelerated candidate is kept
 only when it does not increase the objective, so the recorded objective
-sequence never rises. One count, of candidates rejected in a row (reset
-by an accept), drives both remedies. Every _RESTART_PATIENCE-th rejection
-in a row resets the momentum, so the step after it is a plain proximal
-gradient step, which cannot increase the objective unless the step size
-1/L is wrong. The count passes _RESTART_PATIENCE ** 2 when the
-_RESTART_PATIENCE-th such plain step in a row fails, and that raises
+sequence never rises. Every rejected candidate restarts the momentum (the
+function-value restart of O'Donoghue & Candes 2015), so the next
+candidate is the plain proximal gradient step from the accepted state,
+which cannot increase the objective unless the step size 1/L is wrong.
+The run gives up at rejection _GIVE_UP_PATIENCE + 1 in a row, when the
+_GIVE_UP_PATIENCE-th such plain step in a row fails, and raises
 SolverDivergenceError with the partial trace, the give-up error of mixamp
 too. A measurement map that is identically zero never reaches the solve:
 linops.MeasurementOperator rejects it.
@@ -23,11 +23,12 @@ linops.MeasurementOperator rejects it.
 Each iteration applies the measurement map once each way: the adjoint
 for the gradient and the forward product for the candidate's objective.
 The residual is linear in the iterate, so the residual of the
-extrapolated point is the same combination of the residuals of the
-candidate, the state and the previous state, each from its own direct
-product, as the point is of them (the product bookkeeping of TFOCS,
-Becker, Candes & Grant 2011). A rejected candidate leaves the state and
-its residual as they were, so its trace record reuses them.
+extrapolated point is the same combination of the residuals of the new
+state and the previous state, each from its own direct product, as the
+point is of them (the product bookkeeping of TFOCS, Becker, Candes &
+Grant 2011). A rejected candidate leaves the state and its residual as
+they were, so its trace record reuses them, and the next gradient is
+taken at the state.
 """
 
 import time
@@ -44,7 +45,7 @@ _ACCEPT_SLACK = 1e-10
 _LANCZOS_MAX_STEPS = 100
 _LANCZOS_RTOL = 1e-9
 _POWER_SEED = 0
-_RESTART_PATIENCE = 10
+_GIVE_UP_PATIENCE = 10
 
 
 @dataclass
@@ -137,15 +138,11 @@ def _prox_b(v, step_weight, cfg, variant, tv_state=None):
     return u, state
 
 
-def _extrapolate(new, cand, prev, alpha, beta):
-    """FISTA's extrapolated point new + alpha (cand - new) + beta (new - prev),
-    built in two fresh arrays in that order of operations."""
-    out = cand - new
-    out *= alpha
+def _extrapolate(new, prev, beta):
+    """FISTA's extrapolated point new + beta (new - prev), in one fresh array."""
+    out = new - prev
+    out *= beta
     out += new
-    push = new - prev
-    push *= beta
-    out += push
     return out
 
 
@@ -177,9 +174,10 @@ def baseline_solve(a, y, mask, cfg, variant):
     # stays fixed)
     tv_state = None
     # rx, r_prev and rz are the residuals of the accepted state (xa, xb), of
-    # (xa_prev, xb_prev) and of the extrapolated point (za, zb). rx and r_prev
-    # come from direct products; rz combines them as (za, zb) combines the
-    # states, so the gradient costs one adjoint and no forward product
+    # the state before the last accepted step (xa_prev, xb_prev) and of the
+    # extrapolated point (za, zb). rx and r_prev come from direct products; rz
+    # combines them as (za, zb) combines the states, so the gradient costs one
+    # adjoint and no forward product
     fx, rx = objective_eval(xa, xb, op, y, cfg, variant)
     r_prev = rz = rx
     resid_norm = float(np.linalg.norm(rx))
@@ -199,31 +197,26 @@ def baseline_solve(a, y, mask, cfg, variant):
 
         accepted = f_cand <= fx + _ACCEPT_SLACK
         if accepted:
-            xa_new, xb_new, f_new, r_new = cand_a, cand_b, f_cand, r_cand
-            tol_value = solver.stopping_tol((xa, xb), (xa_new, xb_new))
-            resid_norm = float(np.linalg.norm(r_new))
+            tol_value = solver.stopping_tol((xa, xb), (cand_a, cand_b))
+            resid_norm = float(np.linalg.norm(r_cand))
             rejections = 0
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+            beta = (t_k - 1.0) / t_next
+            za = _extrapolate(cand_a, xa_prev, beta)
+            zb = _extrapolate(cand_b, xb_prev, beta)
+            rz = _extrapolate(r_cand, r_prev, beta)
+            xa_prev, xb_prev, r_prev = xa, xb, rx
+            xa, xb, fx, rx, t_k = cand_a, cand_b, f_cand, r_cand, t_next
         else:
-            # the state, and so its residual norm, stays as it was
-            xa_new, xb_new, f_new, r_new = xa, xb, fx, rx
+            # restart: the state, and so its residual norm, stays as it was,
+            # and the next candidate is the plain step from it
             tol_value = 0.0
             rejections += 1
-            if rejections > _RESTART_PATIENCE ** 2:
+            if rejections > _GIVE_UP_PATIENCE:
                 msg = f"objective kept increasing after restarts at iteration {it}"
                 raise SolverDivergenceError(msg, iteration=it, trace=trace)
+            za, zb, rz, t_k = xa, xb, rx, 1.0
 
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        if rejections and rejections % _RESTART_PATIENCE == 0:
-            za, zb, rz = xa_new, xb_new, r_new
-            t_next = 1.0
-        else:
-            alpha, beta = t_k / t_next, (t_k - 1.0) / t_next
-            za = _extrapolate(xa_new, cand_a, xa_prev, alpha, beta)
-            zb = _extrapolate(xb_new, cand_b, xb_prev, alpha, beta)
-            rz = _extrapolate(r_new, r_cand, r_prev, alpha, beta)
-
-        xa_prev, xb_prev, r_prev = xa, xb, rx
-        xa, xb, fx, rx, t_k = xa_new, xb_new, f_new, r_new, t_next
         trace.append(
             solver.TraceRecord(
                 t=it,

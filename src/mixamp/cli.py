@@ -254,15 +254,29 @@ def _solver_configs(p):
 def run_separation(p, out_dir):
     """Execute one experiment; returns (exit_code, metric rows).
 
-    Params, problem and every solver config are checked before the output
-    directory is created, so a rejected run writes nothing. A solver that
-    gives up (SolverDivergenceError) keeps its partial trace and a manifest
-    record with diverged_at, and the run goes on to the next solver and
-    returns exit code 1.
+    Params, problem and every solver config are checked, and every solver
+    runs, before the output directory is created, so a rejected run (the
+    baseline's step constant included) writes nothing. A solver that gives
+    up (SolverDivergenceError) keeps its partial trace and a manifest record
+    with diverged_at, and the run goes on to the next solver and returns
+    exit code 1.
     """
     _validate_params(p)
     configs = _solver_configs(p)
     a, mask, xa_true, xb_true, y = build_problem(p)
+    results = {}  # name: (xa_hat, xb_hat, trace, failure, wall_ms)
+    for name, cfg in configs.items():
+        tic = time.perf_counter()
+        failure = None
+        try:
+            if name == "mixamp":
+                xa_hat, xb_hat, trace = solver.mixamp_run(a, y, mask, cfg)
+            else:
+                xa_hat, xb_hat, trace = baseline.baseline_solve(a, y, mask, cfg, p["case"])
+        except SolverDivergenceError as err:
+            print(f"mixamp: {name} diverged at iteration {err.iteration}", file=sys.stderr)
+            xa_hat, xb_hat, trace, failure = None, None, err.trace, err
+        results[name] = xa_hat, xb_hat, trace, failure, (time.perf_counter() - tic) * 1e3
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -274,19 +288,8 @@ def run_separation(p, out_dir):
     }
     rows = []
     code = 0
-    for name, cfg in configs.items():
-        tag = f"_{name}" if len(configs) > 1 else ""
-        tic = time.perf_counter()
-        failure = None
-        try:
-            if name == "mixamp":
-                xa_hat, xb_hat, trace = solver.mixamp_run(a, y, mask, cfg)
-            else:
-                xa_hat, xb_hat, trace = baseline.baseline_solve(a, y, mask, cfg, p["case"])
-        except SolverDivergenceError as err:
-            print(f"mixamp: {name} diverged at iteration {err.iteration}", file=sys.stderr)
-            failure, trace = err, err.trace
-        wall_ms = (time.perf_counter() - tic) * 1e3
+    for name, (xa_hat, xb_hat, trace, failure, wall_ms) in results.items():
+        tag = f"_{name}" if len(results) > 1 else ""
         record = manifest["outputs"][name] = {
             "trace": f"trace{tag}.csv",
             "iters": len(trace),

@@ -51,7 +51,8 @@ class SolverDivergenceError(MixAmpError, RuntimeError):
     """A solver gave up. Raised at two places: solver.mixamp_run, when
     theta blows up at the damping floor (a step's theta was non-finite
     or above the bound on it), and baseline.baseline_solve, when the
-    objective kept rising after its momentum restarts.
+    objective kept rising: the 11th candidate in a row was rejected, the
+    10th plain step after a momentum restart.
 
     Carries the iteration where the solver gave up, the step that blew
     up or was rejected once too often, and the partial iteration trace of

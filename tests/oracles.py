@@ -270,7 +270,8 @@ def reference_mixamp_step(state, op, y, cfg, step=1.0):
 
 def reference_fista(a, y, mask, cfg, variant):
     """Straight-line monotone FISTA that recomputes the residual of the
-    extrapolated point by a forward product at every iteration.
+    extrapolated point by a forward product at every iteration, restarts its
+    momentum at every rejected candidate and never gives up.
 
     Takes the objective, the step and the two proxes from mixamp.baseline,
     so it differs from baseline_solve only in how that residual is formed.
@@ -281,7 +282,7 @@ def reference_fista(a, y, mask, cfg, variant):
     lip = baseline.estimate_lipschitz(op, cfg)
     xa = xb = xa_prev = xb_prev = za = zb = np.zeros((a.side, a.side))
     fx, _ = baseline.objective_eval(xa, xb, op, y, cfg, variant)
-    t_k, streak, tv_state = 1.0, 0, None
+    t_k, tv_state = 1.0, None
     objectives, accepted = [], []
     for _ in range(cfg.max_iters):
         grad = -cfg.rho * op.adjoint(y - op.forward(za + zb))
@@ -291,10 +292,9 @@ def reference_fista(a, y, mask, cfg, variant):
         f_cand, _ = baseline.objective_eval(cand_a, cand_b, op, y, cfg, variant)
         keep = f_cand <= fx + baseline._ACCEPT_SLACK
         xa_new, xb_new, f_new = (cand_a, cand_b, f_cand) if keep else (xa, xb, fx)
-        streak = 0 if keep else streak + 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        if streak >= baseline._RESTART_PATIENCE:
-            za, zb, t_next, streak = xa_new, xb_new, 1.0, 0
+        if not keep:  # restart the momentum: the next step is plain
+            za, zb, t_next = xa_new, xb_new, 1.0
         else:
             za = xa_new + (t_k / t_next) * (cand_a - xa_new) + ((t_k - 1.0) / t_next) * (xa_new - xa_prev)
             zb = xb_new + (t_k / t_next) * (cand_b - xb_new) + ((t_k - 1.0) / t_next) * (xb_new - xb_prev)
